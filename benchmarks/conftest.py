@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cnn.models import alexnet
-from repro.core.dse import explore_layer
+from repro.core.engine import ExplorationEngine
 from repro.dram.architecture import ALL_ARCHITECTURES
-from repro.dram.characterize import characterize_preset
+from repro.dram.characterize import characterize_cached
+from repro.workloads import get_workload
 
 #: Fig.-9 x-axis labels.
 ALEXNET_LAYER_NAMES = [
@@ -28,13 +28,13 @@ ALEXNET_LAYER_NAMES = [
 @pytest.fixture(scope="session")
 def alexnet_layers():
     """The paper's AlexNet workload."""
-    return alexnet()
+    return get_workload("alexnet").lower()
 
 
 @pytest.fixture(scope="session")
 def characterizations():
     """Fig.-1 characterization of all four architectures."""
-    return {arch: characterize_preset(arch) for arch in ALL_ARCHITECTURES}
+    return {arch: characterize_cached(arch) for arch in ALL_ARCHITECTURES}
 
 
 @pytest.fixture(scope="session")
@@ -46,8 +46,6 @@ def alexnet_dse(alexnet_layers, characterizations):
     buffer-admissible power-of-two tiling.  Computed once per session.
     """
     del characterizations  # ensure Fig.-1 costs are cached first
-    from repro.core.engine import ExplorationEngine
-
     engine = ExplorationEngine(jobs=1)
-    return {layer.name: explore_layer(layer, engine=engine)
+    return {layer.name: engine.explore_layer(layer)
             for layer in alexnet_layers}

@@ -6,21 +6,20 @@ subarray-level parallelism.  This bench quantifies the gap on SALP
 hardware and shows the two coincide on commodity DDR3.
 """
 
-from repro.cnn.models import alexnet
 from repro.cnn.scheduling import ReuseScheme
-from repro.core.dse import explore_layer
+from repro.core.engine import ExplorationEngine
 from repro.core.report import format_table, improvement_percent
 from repro.dram.architecture import ALL_ARCHITECTURES, DRAMArchitecture
 from repro.mapping.catalog import DEFAULT_MAPPING, DRMAP
+from repro.workloads import get_workload
 
 
 def test_default_vs_drmap(benchmark):
-    conv2 = alexnet()[1]
-    result = explore_layer(
+    conv2 = get_workload("alexnet").lower()[1]
+    result = ExplorationEngine().explore_layer(
         conv2,
         schemes=(ReuseScheme.ADAPTIVE_REUSE,),
-        policies=(DRMAP, DEFAULT_MAPPING),
-    )
+        policies=(DRMAP, DEFAULT_MAPPING))
 
     rows = []
     gains = {}
@@ -46,9 +45,9 @@ def test_default_vs_drmap(benchmark):
     # fits inside one row x bank sweep).
     assert abs(gains[DRAMArchitecture.DDR3]) < 5.0
 
-    benchmark(
-        explore_layer, conv2,
+    benchmark(lambda: ExplorationEngine().explore_layer(
+        conv2,
         architectures=(DRAMArchitecture.DDR3,),
         schemes=(ReuseScheme.ADAPTIVE_REUSE,),
         policies=(DRMAP,),
-    )
+    ))

@@ -6,21 +6,21 @@ subset keeps the runtime reasonable), adaptive-reuse scheduling,
 all four architectures.
 """
 
-from repro.cnn.models import vgg16
 from repro.cnn.scheduling import ReuseScheme
-from repro.core.dse import explore_layer
+from repro.core.engine import ExplorationEngine
 from repro.core.report import format_table, improvement_percent
 from repro.dram.architecture import ALL_ARCHITECTURES, DRAMArchitecture
 from repro.mapping.catalog import DRMAP, TABLE1_MAPPINGS
+from repro.workloads import get_workload
 
 #: An early conv, a mid conv, a late conv, and the big FC.
 LAYER_INDICES = (0, 6, 12, 13)
 
 
 def test_vgg16(benchmark):
-    layers = [vgg16()[i] for i in LAYER_INDICES]
+    layers = [get_workload("vgg16").lower()[i] for i in LAYER_INDICES]
     results = {
-        layer.name: explore_layer(
+        layer.name: ExplorationEngine().explore_layer(
             layer, schemes=(ReuseScheme.ADAPTIVE_REUSE,))
         for layer in layers
     }
@@ -51,9 +51,9 @@ def test_vgg16(benchmark):
             best = results[layer.name].best(architecture=architecture)
             assert best.policy == DRMAP, (layer.name, architecture)
 
-    benchmark(
-        explore_layer, layers[0],
+    benchmark(lambda: ExplorationEngine().explore_layer(
+        layers[0],
         architectures=(DRAMArchitecture.DDR3,),
         schemes=(ReuseScheme.ADAPTIVE_REUSE,),
         policies=(DRMAP,),
-    )
+    ))

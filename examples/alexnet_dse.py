@@ -13,8 +13,8 @@ produces (map, minEDP).
 
 import argparse
 
-from repro.cnn import alexnet
-from repro.core import explore_layer
+from repro import get_workload
+from repro.core import ExplorationEngine
 from repro.core.report import format_table
 from repro.dram import DRAMArchitecture
 
@@ -32,10 +32,11 @@ def main() -> None:
     args = parse_args()
     architecture = DRAMArchitecture(args.arch)
 
+    engine = ExplorationEngine()
     rows = []
     total_edp = 0.0
-    for layer in alexnet():
-        result = explore_layer(layer, architectures=(architecture,))
+    for layer in get_workload("alexnet").lower():
+        result = engine.explore_layer(layer, architectures=(architecture,))
         best = result.best()
         total_edp += best.edp_js
         tiling = best.tiling

@@ -18,7 +18,7 @@ row locality DRMap monetizes, so the optimum can flip.
 
 import argparse
 
-from repro.core.dse import explore_layer
+from repro.core.engine import ExplorationEngine
 from repro.core.report import format_table
 from repro.dram.architecture import DRAMArchitecture
 from repro.dram.device import device_names, get_device
@@ -47,12 +47,13 @@ def main() -> None:
     device.require_architecture(architecture)
     configs = all_controller_configs()
     layers = get_workload(args.model).lower()
+    engine = ExplorationEngine()
 
     rows = []
     for layer in layers:
         winners = []
         for config in configs:
-            result = explore_layer(
+            result = engine.explore_layer(
                 layer, architectures=(architecture,), device=device,
                 controller=config)
             winners.append(result.best().policy.name)

@@ -16,7 +16,7 @@ bringing their own workload:
 
 from repro import ConvLayer
 from repro.cnn import BufferConfig
-from repro.core import explore_layer, pareto_front, points_from_dse
+from repro.core import ExplorationEngine, pareto_front, points_from_dse
 from repro.core.report import format_table
 from repro.dram import DRAMArchitecture
 
@@ -41,10 +41,11 @@ def main() -> None:
         ofms_bytes=32 * 1024,
     )
 
+    engine = ExplorationEngine()
     rows = []
     all_points = []
     for layer in build_custom_network():
-        result = explore_layer(
+        result = engine.explore_layer(
             layer,
             architectures=(DRAMArchitecture.SALP_MASA,),
             buffers=buffers,

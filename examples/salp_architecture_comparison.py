@@ -12,8 +12,9 @@ avoids subarray conflicts); subarray-*hostile* mappings gain
 dramatically under MASA.
 """
 
-from repro.cnn import ReuseScheme, alexnet
-from repro.core import explore_layer
+from repro import get_workload
+from repro.cnn import ReuseScheme
+from repro.core import ExplorationEngine
 from repro.core.report import format_table, improvement_percent
 from repro.dram import ALL_ARCHITECTURES, DRAMArchitecture
 from repro.mapping import TABLE1_MAPPINGS
@@ -23,9 +24,11 @@ LAYERS = (0, 1, 5)
 
 
 def main() -> None:
-    layers = [alexnet()[i] for i in LAYERS]
+    alexnet = get_workload("alexnet").lower()
+    layers = [alexnet[i] for i in LAYERS]
+    engine = ExplorationEngine()
     results = {
-        layer.name: explore_layer(
+        layer.name: engine.explore_layer(
             layer, schemes=(ReuseScheme.ADAPTIVE_REUSE,))
         for layer in layers
     }

@@ -23,7 +23,6 @@ between — cheap, usually optimal, but unguarded against local minima.
 import argparse
 import time
 
-from repro.core.dse import explore_network
 from repro.core.engine import ExplorationEngine
 from repro.core.report import format_table
 from repro.core.strategies import strategy_names
@@ -70,8 +69,7 @@ def main() -> None:
                 strategy=name, seed=args.seed,
                 strategy_options=options)
             start = time.perf_counter()
-            results[name] = explore_network(
-                network, engine=engine, device=device)
+            results[name] = engine.explore_network(network, device=device)
             timings[name] = time.perf_counter() - start
 
         truth = results["exhaustive"].best().edp_js

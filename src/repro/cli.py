@@ -16,7 +16,6 @@ Usage::
                         [--scheduler NAME] [--row-policy NAME]
                         [--requestors N] [--arbiter NAME]
                         [--strategy NAME] [--seed S] [--funnel-topk PCT]
-                        [--eval-model auto|scalar|vector]
     python -m repro traffic --model alexnet [--device NAME] [--batch B]
                             [--bytes-per-element N]
     python -m repro models [--detail] [--model NAME]
@@ -79,12 +78,6 @@ table.
     the closed-form analytical cost model and exactly re-evaluates
     only the top ``--funnel-topk`` percent per layer; ``random`` /
     ``greedy-refine`` are seeded heuristics (``--seed``).
-``--eval-model NAME``
-    Point-evaluation backend.  ``vector`` batches whole grid chunks
-    through the numpy Eq. 2/3 kernel, ``scalar`` keeps the per-point
-    loop, and ``auto`` (default) picks ``vector`` when numpy is
-    importable.  Every backend produces bit-identical EDP floats, so
-    the table output never depends on the choice.
     Non-exhaustive runs are tagged in the table title and followed by
     a one-line evaluation-count summary.
 
@@ -106,7 +99,7 @@ from typing import List, Optional
 from .cnn.scheduling import ALL_SCHEMES, CONCRETE_SCHEMES, ReuseScheme
 from .cnn.tiling import enumerate_tilings
 from .cnn.traffic import layer_traffic
-from .core.dse import explore_layer
+from .core.engine import DEFAULT_CHUNK_SIZE, ExplorationEngine
 from .core.report import format_table
 from .dram.architecture import DRAMArchitecture
 from .dram.characterize import characterize_device
@@ -288,8 +281,7 @@ def cmd_characterize(args: argparse.Namespace) -> int:
 
             results = {
                 architecture: characterize_analytical(
-                    architecture, device=device, controller=config,
-                    contention=channel)
+                    architecture, device=device, controller=config)
                 for architecture in architectures
             }
         else:
@@ -332,8 +324,9 @@ def cmd_edp(args: argparse.Namespace) -> int:
     scheme = ReuseScheme(args.scheme)
     policies = ([mapping_by_index(args.mapping)] if args.mapping
                 else list(TABLE1_MAPPINGS))
+    engine = ExplorationEngine()
     for layer in _layers(args):
-        result = explore_layer(
+        result = engine.explore_layer(
             layer, architectures=(architecture,), schemes=(scheme,),
             policies=policies, device=device, controller=config,
             contention=channel)
@@ -359,8 +352,6 @@ def cmd_edp(args: argparse.Namespace) -> int:
 
 def cmd_dse(args: argparse.Namespace) -> int:
     """Algorithm 1: min-EDP design point per layer."""
-    from .core.engine import DEFAULT_CHUNK_SIZE, ExplorationEngine
-
     _configure_store(args)
     architecture = _architecture(args.arch)
     device = _device(args.device)
@@ -379,17 +370,16 @@ def cmd_dse(args: argparse.Namespace) -> int:
                     else DEFAULT_CHUNK_SIZE),
         strategy=strategy,
         seed=seed,
-        strategy_options=options,
-        eval_model=args.eval_model)
+        strategy_options=options)
     rows = []
     total = 0.0
     evaluated = 0
     scored = 0
     grid_points = 0
     for layer in _layers(args):
-        result = explore_layer(
-            layer, architectures=(architecture,), engine=engine,
-            device=device, controller=config, contention=channel)
+        result = engine.explore_layer(
+            layer, architectures=(architecture,), device=device,
+            controller=config, contention=channel)
         best = result.best()
         total += best.edp_js
         evaluated += result.evaluated_points
@@ -737,16 +727,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="funnel strategy: percentage of each layer's grid "
              "re-evaluated exactly after analytical pruning "
              "(default: 5)")
-    from .core.eval_kernel import EVAL_MODELS
-
-    p_dse.add_argument(
-        "--eval-model", dest="eval_model", default="auto",
-        choices=EVAL_MODELS,
-        help="point-evaluation backend: 'vector' batches whole "
-             "chunks through the numpy Eq. 2/3 kernel, 'scalar' "
-             "keeps the per-point loop, 'auto' (default) vectorizes "
-             "when numpy is available; results are bit-identical "
-             "for every choice")
     p_dse.set_defaults(func=cmd_dse)
 
     p_traffic = subparsers.add_parser(

@@ -1,4 +1,4 @@
-"""Design space exploration — paper Algorithm 1 and Fig. 7.
+"""Design space exploration records — paper Algorithm 1 and Fig. 7.
 
 For each layer of a network the DSE sweeps
 
@@ -11,34 +11,25 @@ estimates the EDP of every admissible combination with the analytical
 model (step 3), and returns both the full exploration record and the
 minimum-EDP choice.
 
-Execution is delegated to :mod:`repro.core.engine`: pass ``jobs`` /
-``chunk_size`` (or a pre-built :class:`~repro.core.engine.ExplorationEngine`)
-to shard the grid across worker processes.  Results are identical for
-every ``jobs`` value — points come back in the serial nested-loop
-order.
-
-Workloads can be given as flat layer lists (the paper's shape) or as
-:class:`repro.workloads.Network` graphs; graphs lower to the same
-7-dim loop nests, and :func:`explore_workload` additionally folds the
-record back onto the DAG (network EDP + hand-off analysis).
+The exploration itself runs on
+:class:`repro.core.engine.ExplorationEngine` (``explore_layer``,
+``explore_network`` or the bounded-memory ``explore_reduced``); this
+module holds the records it returns and the Algorithm-1 reductions
+over them.  To fold a network record back onto its workload graph
+(network EDP + hand-off analysis), pass it to
+:func:`repro.workloads.network_dse_summary`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..caching import CacheStats
-from ..cnn.layer import ConvLayer
-from ..cnn.scheduling import ALL_SCHEMES, ReuseScheme
-from ..cnn.tiling import BufferConfig, TABLE2_BUFFERS, TilingConfig
+from ..cnn.scheduling import ReuseScheme
+from ..cnn.tiling import TilingConfig
 from ..dram.architecture import DRAMArchitecture
-from ..dram.contention import ContentionConfig
-from ..dram.device import DeviceProfile
-from ..dram.policies import ControllerConfig
-from ..dram.spec import DRAMOrganization
 from ..errors import DseError
-from ..mapping.catalog import TABLE1_MAPPINGS
 from ..mapping.policy import MappingPolicy
 from .edp import LayerEDP
 
@@ -151,159 +142,6 @@ class DseResult:
                 misses=mine.misses + other.eval_cache_stats.misses)
         if self.strategy != other.strategy:
             self.strategy = "mixed"
-
-
-def _engine_for(jobs, chunk_size, engine, eval_model="auto"):
-    """Resolve the execution engine for the explore_* entry points.
-
-    ``eval_model`` configures the constructed engine's chunk
-    evaluation backend; a pre-built ``engine`` keeps its own setting.
-    """
-    from .engine import DEFAULT_CHUNK_SIZE, ExplorationEngine
-
-    if engine is not None:
-        return engine
-    return ExplorationEngine(
-        jobs=jobs,
-        chunk_size=(chunk_size if chunk_size is not None
-                    else DEFAULT_CHUNK_SIZE),
-        eval_model=eval_model)
-
-
-def explore_layer(
-    layer: ConvLayer,
-    architectures: Optional[Sequence[DRAMArchitecture]] = None,
-    schemes: Sequence[ReuseScheme] = ALL_SCHEMES,
-    policies: Sequence[MappingPolicy] = TABLE1_MAPPINGS,
-    buffers: BufferConfig = TABLE2_BUFFERS,
-    organization: Optional[DRAMOrganization] = None,
-    tilings: Optional[Iterable[TilingConfig]] = None,
-    jobs: int = 1,
-    chunk_size: Optional[int] = None,
-    engine=None,
-    eval_model: str = "auto",
-    device: Optional[DeviceProfile] = None,
-    controller: Optional[ControllerConfig] = None,
-    contention: Optional[ContentionConfig] = None,
-    strategy=None,
-    seed: Optional[int] = None,
-    strategy_options: Optional[dict] = None,
-) -> DseResult:
-    """Algorithm 1 for one layer: evaluate every admissible combination.
-
-    Parameters
-    ----------
-    tilings:
-        Candidate tilings; by default the buffer-maximal power-of-two
-        grid of :func:`repro.cnn.tiling.enumerate_tilings`.
-    jobs / chunk_size:
-        Sharding knobs, forwarded to
-        :class:`repro.core.engine.ExplorationEngine`; ``jobs=1``
-        evaluates in-process, ``jobs=0`` uses every CPU.
-    engine:
-        Pre-built engine to run on (overrides ``jobs``/``chunk_size``);
-        reusing one engine across calls shares its evaluation caches.
-    eval_model:
-        Chunk-evaluation backend (``"auto"`` / ``"scalar"`` /
-        ``"vector"``, see
-        :class:`repro.core.engine.ExplorationEngine`); ignored when a
-        pre-built ``engine`` is passed.  Results are bit-for-bit
-        identical across backends.
-    device:
-        DRAM device profile to explore on (default: the paper's
-        Table-II device); every requested architecture must be in its
-        capability set.
-    controller:
-        Memory-controller configuration (scheduler + row policy) the
-        characterizations are measured under (default: the paper's
-        FCFS/open-row Table-II controller).
-    contention:
-        Channel-contention configuration (requestor count + arbiter)
-        the characterizations are measured under (default: the single
-        uncontended requestor).
-    strategy / seed / strategy_options:
-        Search strategy (a registered name — ``exhaustive``,
-        ``random``, ``greedy-refine``, ``funnel`` — or a
-        :class:`repro.core.strategies.SearchStrategy` instance), the
-        seed of its randomized choices, and its constructor options.
-        ``None`` uses the engine's default (exhaustive).
-    """
-    eng = _engine_for(jobs, chunk_size, engine, eval_model)
-    tilings_seq = None if tilings is None else list(tilings)
-    return eng.explore_layer(
-        layer, architectures=architectures, schemes=schemes,
-        policies=policies, buffers=buffers, organization=organization,
-        tilings=tilings_seq, device=device, controller=controller,
-        contention=contention, strategy=strategy, seed=seed,
-        strategy_options=strategy_options)
-
-
-def explore_network(
-    layers,
-    jobs: int = 1,
-    chunk_size: Optional[int] = None,
-    engine=None,
-    eval_model: str = "auto",
-    **kwargs,
-) -> DseResult:
-    """Algorithm 1 over all layers of a network.
-
-    ``layers`` is either the historical ``Sequence[ConvLayer]`` or a
-    :class:`repro.workloads.Network`, which is lowered to its 7-dim
-    loop nests first (traffic-only graph ops contribute no design
-    points).  The whole ``layer x architecture x scheme x policy x
-    tiling`` grid is sharded as one unit, so with ``jobs > 1`` small
-    layers do not serialize behind large ones.  ``strategy`` /
-    ``seed`` / ``strategy_options`` select the search strategy as in
-    :func:`explore_layer`.
-    """
-    eng = _engine_for(jobs, chunk_size, engine, eval_model)
-    return eng.explore_network(layers, **kwargs)
-
-
-def explore_workload(
-    workload,
-    jobs: int = 1,
-    chunk_size: Optional[int] = None,
-    engine=None,
-    eval_model: str = "auto",
-    architecture: Optional[DRAMArchitecture] = None,
-    scheme: Optional[ReuseScheme] = None,
-    **kwargs,
-):
-    """Graph-aware Algorithm 1: explore a workload, aggregate on the DAG.
-
-    ``workload`` is a :class:`repro.workloads.Network` or a registered
-    workload name (see :func:`repro.workloads.workload_names`).
-    Returns ``(network, result, summary)`` where ``summary`` is the
-    topological :class:`repro.workloads.NetworkDseSummary` — per-op
-    minimum-EDP points, the network EDP, and the feature-map hand-off
-    residency analysis.
-
-    ``architecture`` / ``scheme`` restrict both the explored grid and
-    the aggregation (pass them instead of ``architectures=`` /
-    ``schemes=`` when you want a single slice end to end).
-    """
-    from ..workloads import Network, get_workload, network_dse_summary
-
-    if not isinstance(workload, Network):
-        workload = get_workload(workload)
-    if architecture is not None:
-        if "architectures" in kwargs:
-            raise DseError(
-                "pass either architecture= or architectures=, not both")
-        kwargs["architectures"] = (architecture,)
-    if scheme is not None:
-        if "schemes" in kwargs:
-            raise DseError(
-                "pass either scheme= or schemes=, not both")
-        kwargs["schemes"] = (scheme,)
-    eng = _engine_for(jobs, chunk_size, engine, eval_model)
-    result = eng.explore_network(workload, **kwargs)
-    summary = network_dse_summary(
-        workload, result, architecture=architecture, scheme=scheme,
-        buffers=kwargs.get("buffers", TABLE2_BUFFERS))
-    return workload, result, summary
 
 
 def best_mapping_per_layer(

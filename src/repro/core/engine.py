@@ -60,10 +60,10 @@ The CLI exposes the knobs as ``repro dse --jobs N --chunk-size M``
 
 Example
 -------
->>> from repro.cnn.models import alexnet
+>>> from repro.workloads import get_workload
 >>> from repro.core.engine import ExplorationEngine
 >>> engine = ExplorationEngine(jobs=1)
->>> result = engine.explore_layer(alexnet()[0])
+>>> result = engine.explore_layer(get_workload("alexnet").lower()[0])
 >>> result.best().edp_js > 0
 True
 """
@@ -646,15 +646,16 @@ class ExplorationEngine:
         Chunk-evaluation backend: ``"auto"`` (default) evaluates
         eligible chunks with the vectorized kernel of
         :mod:`repro.core.eval_kernel` and falls back to the scalar
-        loop otherwise, ``"scalar"`` forces the reference per-point
-        loop, ``"vector"`` requires the kernel (numpy).  Results are
-        bit-for-bit identical across all three.
+        loop otherwise; ``"scalar"`` forces the reference per-point
+        loop, the baseline of differential tests and ratio gates.
+        Results are bit-for-bit identical across both.
 
     Example
     -------
-    >>> from repro.cnn.models import alexnet
+    >>> from repro.workloads import get_workload
     >>> engine = ExplorationEngine(jobs=2, chunk_size=128)
-    >>> reduced = engine.explore_reduced(alexnet()[:1])
+    >>> reduced = engine.explore_reduced(
+    ...     get_workload("alexnet").lower()[:1])
     >>> reduced.total_points > 0
     True
     """

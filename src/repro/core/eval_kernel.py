@@ -50,20 +50,20 @@ over the batch.
 
 Eligibility and fallback
 ------------------------
-``eval_model="auto"`` vectorizes every chunk the closed-form Eq. 2/3
-model backs — which today is every chunk the engine produces (the
-walk-based and cycle-replay backends of :mod:`repro.core.walk_edp` are
-higher-fidelity *validation* paths, not engine backends; adaptive
-reuse is resolved per ``(layer, tiling, scheme)`` at table-build time
-through the same memo the scalar path uses).  A segment falls back to
+``eval_model="auto"`` (the default) vectorizes every chunk the
+closed-form Eq. 2/3 model backs — which today is every chunk the
+engine produces (the walk-based and cycle-replay backends of
+:mod:`repro.core.walk_edp` are higher-fidelity *validation* paths, not
+engine backends; adaptive reuse is resolved per ``(layer, tiling,
+scheme)`` at table-build time through the same memo the scalar path
+uses).  A segment falls back to
 the scalar loop only when it contains a *poisoned* point: a run
 longer than the DRAM capacity (the scalar path raises
 :class:`~repro.errors.CapacityError` there, and the fallback raises
 it identically) or a run long enough to wrap the rank/channel loops
 (where merge order becomes data-dependent; never the case for
-tile-sized runs).  ``eval_model="scalar"`` forces the reference loop;
-``"vector"`` requires numpy and vectorizes with the same per-segment
-poison fallback.
+tile-sized runs).  ``eval_model="scalar"`` forces the reference loop,
+which differential tests and ratio gates use as the baseline.
 """
 
 from __future__ import annotations
@@ -71,10 +71,7 @@ from __future__ import annotations
 import bisect
 from typing import Callable, Dict, List, Optional
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    np = None
+import numpy as np
 
 from ..dram.architecture import DRAMArchitecture
 from ..errors import DseError
@@ -89,32 +86,19 @@ from .dse import DsePoint
 from .edp import LayerEDP
 
 #: Recognized ``eval_model`` values.
-EVAL_MODELS = ("auto", "scalar", "vector")
+EVAL_MODELS = ("auto", "scalar")
 
 #: ``Callable[[start, stop], List[DsePoint]]`` — what the engine's
 #: shard executors call per chunk.
 ChunkFn = Callable[[int, int], List[DsePoint]]
 
 
-def have_numpy() -> bool:
-    """Whether the vector kernel's numpy dependency is importable."""
-    return np is not None
-
-
 def validate_eval_model(eval_model: str) -> str:
-    """Validate an ``eval_model`` knob value, returning it unchanged.
-
-    ``"vector"`` additionally requires numpy (``"auto"`` silently
-    degrades to the scalar path without it).
-    """
+    """Validate an ``eval_model`` knob value, returning it unchanged."""
     if eval_model not in EVAL_MODELS:
         choices = ", ".join(EVAL_MODELS)
         raise DseError(
             f"unknown eval_model {eval_model!r}; choose from: {choices}")
-    if eval_model == "vector" and not have_numpy():
-        raise DseError(
-            "eval_model='vector' requires numpy; install it or use "
-            "'auto' (which falls back to the scalar path)")
     return eval_model
 
 
@@ -426,12 +410,10 @@ def make_chunk_evaluator(context, cache, eval_model: str,
                          scalar_fallback: ChunkFn) -> ChunkFn:
     """Resolve the ``eval_model`` knob into a chunk-evaluation callable.
 
-    ``"scalar"`` returns ``scalar_fallback`` unchanged; ``"vector"``
-    and ``"auto"`` return a :class:`ChunkEvaluator` (with ``"auto"``
-    degrading to the scalar path when numpy is unavailable).
+    ``"scalar"`` returns ``scalar_fallback`` unchanged; ``"auto"``
+    returns a :class:`ChunkEvaluator`.
     """
-    validate_eval_model(eval_model)
-    if eval_model == "scalar" or not have_numpy():
+    if validate_eval_model(eval_model) == "scalar":
         return scalar_fallback
     return ChunkEvaluator(context, cache, scalar_fallback)
 
@@ -448,11 +430,9 @@ def batch_scores(context, cache) -> Optional[List[float]]:
     — and collapsed straight to the funnel's scalar score
     ``(energy * cycles) * tck_ns`` per point, replicating the scalar
     scoring loop's accumulation order term for term.  Returns ``None``
-    when the batch path cannot run (numpy missing, or a poisoned
-    length in the grid) so the caller can use the scalar loop.
+    when the grid holds a poisoned length, so the caller can use the
+    scalar loop.
     """
-    if not have_numpy():
-        return None
     from ..dram.analytical import analytical_characterization
 
     cost_vectors = {

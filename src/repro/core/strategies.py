@@ -35,11 +35,12 @@ evaluation counts — in the returned
 
 Example
 -------
->>> from repro.cnn.models import tiny_test_network
->>> from repro.core.dse import explore_layer
->>> layer = tiny_test_network()[0]
->>> full = explore_layer(layer)
->>> funnel = explore_layer(layer, strategy="funnel")
+>>> from repro.core.engine import ExplorationEngine
+>>> from repro.workloads import get_workload
+>>> layer = get_workload("tiny").lower()[0]
+>>> engine = ExplorationEngine()
+>>> full = engine.explore_layer(layer)
+>>> funnel = engine.explore_layer(layer, strategy="funnel")
 >>> funnel.best().edp_js == full.best().edp_js
 True
 >>> funnel.evaluated_points < full.evaluated_points
@@ -265,7 +266,7 @@ class FunnelStrategy(SearchStrategy):
     def shards(self, engine, context, run):
         scores = analytical_scores(
             context, engine.evaluation_cache,
-            eval_model=getattr(engine, "eval_model", "auto"))
+            eval_model=engine.eval_model)
         run.scored_points = len(scores)
         indices: List[int] = []
         for position, grid in enumerate(context.layers):
@@ -307,7 +308,8 @@ def analytical_scores(context, cache,
     whole pass runs through the batched kernel
     (:func:`repro.core.eval_kernel.batch_scores`) — so the funnel's
     prune and verify phases both go wide — with the scalar loop below
-    as the bit-identical fallback.
+    as the bit-identical fallback for grids holding a poisoned run
+    length.
     """
     if eval_model != "scalar":
         from .eval_kernel import batch_scores

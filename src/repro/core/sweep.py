@@ -10,18 +10,19 @@ give downstream users a one-call sensitivity analysis for their own
 design points.
 
 All sweeps accept a ``device`` profile (default: the paper's Table-II
-device), route their DRAM characterizations through the process-wide
-:data:`repro.dram.characterize.DEFAULT_CHARACTERIZATION_CACHE` (keyed
-on ``(profile, architecture)``) and share one
-:class:`repro.core.engine.EvaluationCache`, so comparing two policies
-at one sweep value characterizes the device once — the seed version
-re-ran the simulator micro-experiments for every policy at every
-value.  Repeating a sweep is almost free.
+device).  Each sweep value is one Algorithm-1 exploration per mapping
+policy on a :class:`repro.core.engine.ExplorationEngine`, restricted
+to that policy, the architecture and the scheme; the engine fetches
+characterizations through the process-wide
+:data:`repro.dram.characterize.DEFAULT_CHARACTERIZATION_CACHE`, and
+one engine serves every exploration of a sweep call, so its
+evaluation memo is shared across policies and values.
 
 Example
 -------
->>> from repro.cnn.models import alexnet
->>> points = sweep_subarrays(alexnet()[1], subarray_counts=(1, 8))
+>>> from repro.workloads import get_workload
+>>> layer = get_workload("alexnet").lower()[1]
+>>> points = sweep_subarrays(layer, subarray_counts=(1, 8))
 >>> [p.value for p in points]
 [1, 8]
 """
@@ -33,16 +34,14 @@ from typing import Callable, List, Optional, Sequence
 
 from ..cnn.layer import ConvLayer
 from ..cnn.scheduling import ReuseScheme
-from ..cnn.tiling import BufferConfig, TABLE2_BUFFERS, enumerate_tilings
+from ..cnn.tiling import BufferConfig, TABLE2_BUFFERS
 from ..dram.architecture import DRAMArchitecture
-from ..dram.characterize import characterize_cached
 from ..dram.contention import ContentionConfig
 from ..dram.device import DeviceProfile, resolve_device
 from ..dram.policies import ControllerConfig
-from ..dram.spec import DRAMOrganization
 from ..mapping.catalog import DRMAP, MAPPING_2
 from ..mapping.policy import MappingPolicy
-from .edp import layer_edp
+from .engine import ExplorationEngine
 
 
 @dataclass(frozen=True)
@@ -62,61 +61,34 @@ class SweepPoint:
         return self.worst_edp_js / self.drmap_edp_js
 
 
-def _evaluation_cache():
-    """The sweeps' shared evaluation memo (lazy, import-cycle free)."""
-    global _EVALUATION_CACHE
-    if _EVALUATION_CACHE is None:
-        from .engine import EvaluationCache
-
-        _EVALUATION_CACHE = EvaluationCache()
-    return _EVALUATION_CACHE
-
-
-_EVALUATION_CACHE = None
-
-
-def _min_edp(
-    layer: ConvLayer,
-    policy: MappingPolicy,
+def _compare(
+    engine: ExplorationEngine,
+    parameter: str,
+    value: object,
+    layers: Sequence[ConvLayer],
     architecture: DRAMArchitecture,
-    device: DeviceProfile,
-    buffers: BufferConfig,
     scheme: ReuseScheme,
-    organization: Optional[DRAMOrganization] = None,
-    controller: Optional[ControllerConfig] = None,
-    contention: Optional[ContentionConfig] = None,
-    strategy=None,
-    seed: Optional[int] = None,
-) -> float:
-    profile = resolve_device(device, organization)
-    if strategy is not None and strategy != "exhaustive":
-        # Non-exhaustive search: route the one-policy slice through
-        # the strategy-driven engine (the funnel/random/greedy floors
-        # keep even these small grids meaningfully covered).
-        from .dse import explore_layer
+    **explore,
+) -> SweepPoint:
+    """DRMap's and Mapping-2's minimum EDP, each summed over ``layers``.
 
-        result = explore_layer(
-            layer, architectures=(architecture,), schemes=(scheme,),
-            policies=(policy,), buffers=buffers, device=profile,
-            controller=controller, contention=contention,
-            strategy=strategy, seed=seed)
-        return result.best().edp_js
-    characterization = characterize_cached(
-        architecture, device=profile, controller=controller,
-        contention=contention)
-    cache = _evaluation_cache()
-    best: Optional[float] = None
-    for tiling in enumerate_tilings(layer, buffers):
-        result = layer_edp(
-            layer, tiling, scheme, policy, architecture,
-            characterization=characterization,
-            cache=cache,
-            device=profile)
-        if best is None or result.edp_js < best:
-            best = result.edp_js
-    if best is None:
-        raise AssertionError("enumerate_tilings never returns empty")
-    return best
+    Every layer is one exploration restricted to the policy, the
+    architecture and the scheme; ``explore`` holds the remaining
+    :meth:`~repro.core.engine.ExplorationEngine.explore_layer` keywords
+    (``device``, ``organization``, ``buffers``, ``controller``,
+    ``contention``, ``strategy``, ``seed``).
+    """
+    def total(policy: MappingPolicy) -> float:
+        edp = 0.0
+        for layer in layers:
+            edp += engine.explore_layer(
+                layer, architectures=(architecture,), schemes=(scheme,),
+                policies=(policy,), **explore).best().edp_js
+        return edp
+
+    return SweepPoint(parameter=parameter, value=value,
+                      drmap_edp_js=total(DRMAP),
+                      worst_edp_js=total(MAPPING_2))
 
 
 def sweep_subarrays(
@@ -136,24 +108,15 @@ def sweep_subarrays(
     bad mappings more subarray boundaries to trip over.
     """
     profile = resolve_device(device)
-    points = []
-    for count in subarray_counts:
-        organization = profile.organization.with_subarrays(count)
-        points.append(SweepPoint(
-            parameter="subarrays_per_bank",
-            value=count,
-            drmap_edp_js=_min_edp(
-                layer, DRMAP, architecture, profile,
-                TABLE2_BUFFERS, scheme, organization=organization,
-                controller=controller, contention=contention,
-                strategy=strategy, seed=seed),
-            worst_edp_js=_min_edp(
-                layer, MAPPING_2, architecture, profile,
-                TABLE2_BUFFERS, scheme, organization=organization,
-                controller=controller, contention=contention,
-                strategy=strategy, seed=seed),
-        ))
-    return points
+    engine = ExplorationEngine()
+    return [
+        _compare(engine, "subarrays_per_bank", count, [layer],
+                 architecture, scheme, device=profile,
+                 organization=profile.organization.with_subarrays(count),
+                 controller=controller, contention=contention,
+                 strategy=strategy, seed=seed)
+        for count in subarray_counts
+    ]
 
 
 def sweep_buffers(
@@ -168,27 +131,18 @@ def sweep_buffers(
     seed: Optional[int] = None,
 ) -> List[SweepPoint]:
     """EDP vs on-chip buffer capacity (all three buffers together)."""
-    profile = resolve_device(device)
-    points = []
-    for size_kb in sizes_kb:
-        buffers = BufferConfig(
-            ifms_bytes=size_kb * 1024,
-            wghs_bytes=size_kb * 1024,
-            ofms_bytes=size_kb * 1024,
-        )
-        points.append(SweepPoint(
-            parameter="buffer_kb",
-            value=size_kb,
-            drmap_edp_js=_min_edp(
-                layer, DRMAP, architecture, profile, buffers, scheme,
-                controller=controller, contention=contention,
-                strategy=strategy, seed=seed),
-            worst_edp_js=_min_edp(
-                layer, MAPPING_2, architecture, profile, buffers,
-                scheme, controller=controller,
-                contention=contention, strategy=strategy, seed=seed),
-        ))
-    return points
+    engine = ExplorationEngine()
+    return [
+        _compare(engine, "buffer_kb", size_kb, [layer], architecture,
+                 scheme, device=device,
+                 buffers=BufferConfig(
+                     ifms_bytes=size_kb * 1024,
+                     wghs_bytes=size_kb * 1024,
+                     ofms_bytes=size_kb * 1024),
+                 controller=controller, contention=contention,
+                 strategy=strategy, seed=seed)
+        for size_kb in sizes_kb
+    ]
 
 
 def sweep_precision(
@@ -206,23 +160,14 @@ def sweep_precision(
 
     ``layer_factory(bpe)`` must build the layer at the given precision.
     """
-    profile = resolve_device(device)
-    points = []
-    for bpe in bytes_per_element:
-        layer = layer_factory(bpe)
-        points.append(SweepPoint(
-            parameter="bytes_per_element",
-            value=bpe,
-            drmap_edp_js=_min_edp(
-                layer, DRMAP, architecture, profile,
-                TABLE2_BUFFERS, scheme, controller=controller,
-                strategy=strategy, seed=seed),
-            worst_edp_js=_min_edp(
-                layer, MAPPING_2, architecture, profile,
-                TABLE2_BUFFERS, scheme, controller=controller,
-                strategy=strategy, seed=seed),
-        ))
-    return points
+    engine = ExplorationEngine()
+    return [
+        _compare(engine, "bytes_per_element", bpe, [layer_factory(bpe)],
+                 architecture, scheme, device=device,
+                 controller=controller, contention=contention,
+                 strategy=strategy, seed=seed)
+        for bpe in bytes_per_element
+    ]
 
 
 def sweep_batch(
@@ -237,23 +182,14 @@ def sweep_batch(
     seed: Optional[int] = None,
 ) -> List[SweepPoint]:
     """EDP vs batch size (activations scale, weights amortize)."""
-    profile = resolve_device(device)
-    points = []
-    for batch in batches:
-        layer = layer_factory(batch)
-        points.append(SweepPoint(
-            parameter="batch",
-            value=batch,
-            drmap_edp_js=_min_edp(
-                layer, DRMAP, architecture, profile,
-                TABLE2_BUFFERS, scheme, controller=controller,
-                strategy=strategy, seed=seed),
-            worst_edp_js=_min_edp(
-                layer, MAPPING_2, architecture, profile,
-                TABLE2_BUFFERS, scheme, controller=controller,
-                strategy=strategy, seed=seed),
-        ))
-    return points
+    engine = ExplorationEngine()
+    return [
+        _compare(engine, "batch", batch, [layer_factory(batch)],
+                 architecture, scheme, device=device,
+                 controller=controller, contention=contention,
+                 strategy=strategy, seed=seed)
+        for batch in batches
+    ]
 
 
 def sweep_network_batch(
@@ -278,30 +214,18 @@ def sweep_network_batch(
     """
     from ..workloads.registry import get_workload
 
-    profile = resolve_device(device)
+    engine = ExplorationEngine()
     points = []
     for batch in batches:
         if callable(workload):
             network = workload(batch=batch)
         else:
             network = get_workload(workload, batch=batch)
-        drmap_total = 0.0
-        worst_total = 0.0
-        for layer in network.lower():
-            drmap_total += _min_edp(
-                layer, DRMAP, architecture, profile, buffers, scheme,
-                controller=controller, contention=contention,
-                strategy=strategy, seed=seed)
-            worst_total += _min_edp(
-                layer, MAPPING_2, architecture, profile, buffers,
-                scheme, controller=controller,
-                contention=contention, strategy=strategy, seed=seed)
-        points.append(SweepPoint(
-            parameter=f"{network.name}:batch",
-            value=batch,
-            drmap_edp_js=drmap_total,
-            worst_edp_js=worst_total,
-        ))
+        points.append(_compare(
+            engine, f"{network.name}:batch", batch, network.lower(),
+            architecture, scheme, device=device, buffers=buffers,
+            controller=controller, contention=contention,
+            strategy=strategy, seed=seed))
     return points
 
 

@@ -20,10 +20,7 @@ from ..cnn.scheduling import ReuseScheme
 from ..cnn.tiling import TilingConfig
 from ..cnn.traffic import layer_traffic
 from ..dram.architecture import DRAMArchitecture
-from ..dram.characterize import (
-    CharacterizationResult,
-    characterize_preset,
-)
+from ..dram.characterize import CharacterizationResult, characterize_cached
 from ..dram.commands import RequestKind
 from ..dram.presets import DDR3_1600_2GB_X8
 from ..dram.spec import DRAMOrganization
@@ -65,7 +62,7 @@ def layer_edp_via_walk(
     """
     resolved = resolve_adaptive(layer, tiling, scheme)
     if characterization is None:
-        characterization = characterize_preset(architecture)
+        characterization = characterize_cached(architecture)
     traffic = layer_traffic(layer, tiling, resolved)
     by_type = {}
     total = ZERO_COST

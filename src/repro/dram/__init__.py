@@ -28,11 +28,9 @@ from .characterize import (
     ConditionCost,
     DEFAULT_CHARACTERIZATION_CACHE,
     characterize,
-    characterize_all,
     characterize_analytical,
     characterize_cached,
     characterize_device,
-    characterize_preset,
 )
 from .contention import (
     ArbiterKind,
@@ -167,11 +165,9 @@ __all__ = [
     "compare_to_simulator",
     "contention_config",
     "controller_config",
-    "characterize_all",
     "characterize_analytical",
     "characterize_cached",
     "characterize_device",
-    "characterize_preset",
     "default_cache_dir",
     "default_device",
     "device_names",

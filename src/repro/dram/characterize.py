@@ -619,8 +619,8 @@ class CharacterizationCache:
         }
 
 
-#: Process-wide default cache; :func:`characterize_preset`,
-#: :func:`characterize_cached`, the sweeps and the DSE engine all share
+#: Process-wide default cache; :func:`characterize_cached`,
+#: :func:`characterize_device`, the sweeps and the DSE engine all share
 #: it, so any two call sites asking for the same configuration pay for
 #: characterization once.
 DEFAULT_CHARACTERIZATION_CACHE = CharacterizationCache()
@@ -653,7 +653,6 @@ def characterize_analytical(
     organization: Optional[DRAMOrganization] = None,
     device: Optional[DeviceProfile] = None,
     controller: Optional[ControllerConfig] = None,
-    contention: Optional[ContentionConfig] = None,
 ) -> CharacterizationResult:
     """Closed-form characterization (no simulation).
 
@@ -664,30 +663,15 @@ def characterize_analytical(
     the DSE engine) is model-agnostic.  Used by the ``funnel`` search
     strategy's pruning phase.
 
-    The closed-form model is contention-blind: it scores the
-    *uncontended* channel regardless of ``contention`` (the parameter
-    is accepted for signature parity).  Funnel pruning therefore ranks
-    candidates by uncontended cost and the exact verification phase
-    applies the contended simulation — an explicit, documented
-    approximation.
+    The closed-form model is contention-blind: it always scores the
+    uncontended channel, so funnel pruning ranks by uncontended cost
+    and the exact verification phase applies the contended simulation.
     """
     from .analytical import analytical_characterization
 
-    del contention  # contention-blind by design; see docstring
     return analytical_characterization(
         architecture, device=device, organization=organization,
         controller=controller)
-
-
-def characterize_preset(architecture: DRAMArchitecture
-                        ) -> CharacterizationResult:
-    """Cached characterization of the Table-II preset configuration.
-
-    .. deprecated::
-        Use :func:`characterize_cached` with an explicit ``device``;
-        this is equivalent to ``device=default_device()``.
-    """
-    return DEFAULT_CHARACTERIZATION_CACHE.get(architecture)
 
 
 def characterize_device(
@@ -713,20 +697,3 @@ def characterize_device(
     return DEFAULT_CHARACTERIZATION_CACHE.get_many(
         architectures, device=device, controller=controller,
         contention=contention, model=model)
-
-
-def characterize_all(
-    device: Optional[DeviceProfile] = None,
-    controller: Optional[ControllerConfig] = None,
-    contention: Optional[ContentionConfig] = None,
-    model: str = "auto",
-) -> Dict[DRAMArchitecture, CharacterizationResult]:
-    """Fig.-1 characterization for every supported architecture.
-
-    With the default device and controller this is the paper's Fig. 1:
-    all four architectures on DDR3-1600 2 Gb x8 under FCFS/open-row.
-    """
-    profile = resolve_device(device)
-    return characterize_device(
-        profile, controller=controller, contention=contention,
-        model=model)

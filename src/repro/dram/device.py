@@ -406,9 +406,18 @@ def resolve_device(
     ``device=None`` selects the default device.  A non-``None``
     ``organization`` overrides the profile's geometry (sweeps vary the
     geometry of a fixed speed grade), keeping timings/currents and the
-    capability set.
+    capability set.  Anything else (a device *name*, say) raises
+    :class:`ConfigurationError` naming the registered devices.
     """
-    profile = device if device is not None else default_device()
+    if device is None:
+        profile = default_device()
+    elif isinstance(device, DeviceProfile):
+        profile = device
+    else:
+        raise ConfigurationError(
+            f"device must be a DeviceProfile or None, got {device!r}; "
+            f"look one up with get_device(name), registered devices: "
+            f"{', '.join(device_names())}")
     if organization is not None:
         profile = profile.with_organization(organization)
     return profile

@@ -3,9 +3,8 @@
 Workloads register as *builders* — callables ``(batch=1,
 bytes_per_element=1, **kwargs) -> Network`` — under a unique name.
 Everything downstream derives from this one table: the ``repro
-models`` listing, the CLI ``--model`` choices, the compatibility
-``repro.cnn.models.MODEL_REGISTRY`` view, and any test or example
-that wants a throw-away workload without editing library code:
+models`` listing, the CLI ``--model`` choices, and any test or
+example that wants a throw-away workload without editing library code:
 
 >>> from repro.workloads import Network, register_workload
 >>> from repro.workloads.ops import ConvOp

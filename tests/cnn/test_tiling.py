@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cnn.layer import ConvLayer
-from repro.cnn.models import alexnet
 from repro.cnn.tiling import (
     BufferConfig,
     TABLE2_BUFFERS,
@@ -11,11 +10,12 @@ from repro.cnn.tiling import (
     enumerate_tilings,
 )
 from repro.errors import ConfigurationError, DseError
+from repro.workloads import get_workload
 
 
 @pytest.fixture(scope="module")
 def conv2():
-    return alexnet()[1]
+    return get_workload("alexnet").lower()[1]
 
 
 class TestBufferConfig:
@@ -126,7 +126,7 @@ class TestEnumeration:
         assert len(enumerate_tilings(conv2, limit=3)) == 3
 
     def test_every_alexnet_layer_has_candidates(self):
-        for layer in alexnet():
+        for layer in get_workload("alexnet").lower():
             assert enumerate_tilings(layer)
 
     def test_impossible_buffers_raise(self, conv2):

@@ -23,7 +23,6 @@ settings.register_profile(
 settings.register_profile("dev", deadline=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
 
-from repro.cnn.models import alexnet, tiny_test_network  # noqa: E402
 from repro.dram.store import CACHE_DIR_ENV  # noqa: E402
 
 
@@ -43,10 +42,11 @@ def _hermetic_disk_cache(tmp_path_factory):
     else:
         os.environ[CACHE_DIR_ENV] = previous
 from repro.dram.architecture import ALL_ARCHITECTURES, DRAMArchitecture
-from repro.dram.characterize import characterize_preset
+from repro.dram.characterize import characterize_cached
 from repro.dram.presets import DDR3_1600_2GB_X8, TINY_ORGANIZATION
 from repro.dram.simulator import DRAMSimulator
 from repro.dram.timing import DDR3_1600_TIMINGS
+from repro.workloads import get_workload
 
 
 @pytest.fixture(scope="session")
@@ -90,16 +90,16 @@ def masa_sim(table2_org):
 @pytest.fixture(scope="session")
 def characterizations():
     """Fig.-1 characterization of all four architectures (cached)."""
-    return {arch: characterize_preset(arch) for arch in ALL_ARCHITECTURES}
+    return {arch: characterize_cached(arch) for arch in ALL_ARCHITECTURES}
 
 
 @pytest.fixture(scope="session")
 def alexnet_layers():
     """The paper's AlexNet workload."""
-    return alexnet()
+    return get_workload("alexnet").lower()
 
 
 @pytest.fixture(scope="session")
 def tiny_layers():
     """A miniature network for trace-level tests."""
-    return tiny_test_network()
+    return get_workload("tiny").lower()

@@ -2,32 +2,27 @@
 
 import pytest
 
-from repro.cnn.models import alexnet
 from repro.cnn.scheduling import ReuseScheme
 from repro.cnn.tiling import BufferConfig, TilingConfig
-from repro.core.dse import (
-    best_mapping_per_layer,
-    explore_layer,
-    explore_network,
-    min_edp_series,
-)
+from repro.core.dse import best_mapping_per_layer, min_edp_series
+from repro.core.engine import ExplorationEngine
 from repro.dram.architecture import DRAMArchitecture
 from repro.errors import DseError
 from repro.mapping.catalog import DRMAP, TABLE1_MAPPINGS
+from repro.workloads import get_workload
 
 
 @pytest.fixture(scope="module")
 def conv3():
-    return alexnet()[2]
+    return get_workload("alexnet").lower()[2]
 
 
 @pytest.fixture(scope="module")
 def dse(conv3):
-    return explore_layer(
+    return ExplorationEngine().explore_layer(
         conv3,
         architectures=(DRAMArchitecture.DDR3, DRAMArchitecture.SALP_MASA),
-        schemes=(ReuseScheme.OFMS_REUSE, ReuseScheme.ADAPTIVE_REUSE),
-    )
+        schemes=(ReuseScheme.OFMS_REUSE, ReuseScheme.ADAPTIVE_REUSE))
 
 
 class TestExploration:
@@ -62,18 +57,17 @@ class TestExploration:
 
     def test_explicit_tilings_respected(self, conv3):
         tiling = TilingConfig(th=13, tw=13, tj=8, ti=8)
-        result = explore_layer(
+        result = ExplorationEngine().explore_layer(
             conv3,
             architectures=(DRAMArchitecture.DDR3,),
             schemes=(ReuseScheme.OFMS_REUSE,),
-            tilings=[tiling],
-        )
+            tilings=[tiling])
         assert len(result.points) == 6
         assert all(p.tiling == tiling for p in result.points)
 
     def test_infeasible_buffers_raise(self, conv3):
         with pytest.raises(DseError):
-            explore_layer(
+            ExplorationEngine().explore_layer(
                 conv3,
                 buffers=BufferConfig(
                     ifms_bytes=1, wghs_bytes=1, ofms_bytes=1))
@@ -107,12 +101,11 @@ class TestPaperResult:
 
 class TestExploreNetwork:
     def test_two_layer_network(self):
-        layers = alexnet()[2:4]
-        result = explore_network(
+        layers = get_workload("alexnet").lower()[2:4]
+        result = ExplorationEngine().explore_network(
             layers,
             architectures=(DRAMArchitecture.DDR3,),
             schemes=(ReuseScheme.OFMS_REUSE,),
-            policies=(DRMAP,),
-        )
+            policies=(DRMAP,))
         names = {p.layer_name for p in result.points}
         assert names == {"CONV3", "CONV4"}

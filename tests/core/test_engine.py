@@ -7,9 +7,7 @@ selections to the serial Algorithm-1 path.
 
 import pytest
 
-from repro.cnn.models import alexnet, tiny_test_network
 from repro.cnn.scheduling import ReuseScheme
-from repro.core.dse import explore_layer, explore_network
 from repro.core.engine import (
     EvaluationCache,
     ExplorationEngine,
@@ -25,22 +23,24 @@ from repro.dram.architecture import DRAMArchitecture
 from repro.dram.characterize import CharacterizationCache
 from repro.errors import DseError
 from repro.mapping.catalog import DRMAP, TABLE1_MAPPINGS
+from repro.workloads import get_workload
 
 
 @pytest.fixture(scope="module")
 def conv_layers():
     """The AlexNet convolutional layers (CONV1..CONV5)."""
-    return [layer for layer in alexnet() if layer.name.startswith("CONV")]
+    return [layer for layer in get_workload("alexnet").lower()
+            if layer.name.startswith("CONV")]
 
 
 @pytest.fixture(scope="module")
 def tiny_layer():
-    return tiny_test_network()[0]
+    return get_workload("tiny").lower()[0]
 
 
 @pytest.fixture(scope="module")
 def serial_conv_dse(conv_layers):
-    return explore_network(conv_layers, jobs=1)
+    return ExplorationEngine(jobs=1).explore_network(conv_layers)
 
 
 class TestDeterminism:
@@ -49,12 +49,14 @@ class TestDeterminism:
     def test_parallel_records_identical(self, conv_layers, serial_conv_dse):
         # An odd chunk size that does not divide the grid, so shards
         # straddle layer and architecture boundaries.
-        parallel = explore_network(conv_layers, jobs=2, chunk_size=157)
+        parallel = ExplorationEngine(jobs=2, chunk_size=157).explore_network(
+            conv_layers)
         assert parallel.points == serial_conv_dse.points
 
     def test_parallel_min_edp_selections_identical(
             self, conv_layers, serial_conv_dse):
-        parallel = explore_network(conv_layers, jobs=2, chunk_size=157)
+        parallel = ExplorationEngine(jobs=2, chunk_size=157).explore_network(
+            conv_layers)
         for layer in conv_layers:
             serial_best = serial_conv_dse.best(layer_name=layer.name)
             parallel_best = parallel.best(layer_name=layer.name)
@@ -65,14 +67,16 @@ class TestDeterminism:
                     == serial_conv_dse.best(architecture=architecture))
 
     def test_chunk_size_invariance(self, tiny_layer):
-        baseline = explore_layer(tiny_layer, jobs=1, chunk_size=1_000_000)
-        one_point_chunks = explore_layer(tiny_layer, jobs=1, chunk_size=1)
+        baseline = ExplorationEngine(
+            jobs=1, chunk_size=1_000_000).explore_layer(tiny_layer)
+        one_point_chunks = ExplorationEngine(
+            jobs=1, chunk_size=1).explore_layer(tiny_layer)
         assert baseline.points == one_point_chunks.points
 
     def test_reduced_matches_full(self, tiny_layer):
         engine = ExplorationEngine(jobs=1, chunk_size=37)
         reduced = engine.explore_reduced([tiny_layer])
-        full = explore_layer(tiny_layer)
+        full = ExplorationEngine().explore_layer(tiny_layer)
         assert reduced.total_points == len(full.points)
         assert reduced.best() == full.best()
         for policy in TABLE1_MAPPINGS:
@@ -81,7 +85,7 @@ class TestDeterminism:
     def test_reduced_pareto_matches_batch(self, tiny_layer):
         engine = ExplorationEngine(jobs=1, chunk_size=13)
         reduced = engine.explore_reduced([tiny_layer])
-        full = explore_layer(tiny_layer)
+        full = ExplorationEngine().explore_layer(tiny_layer)
         batch = pareto_front(points_from_dse(full.points))
         streamed = reduced.pareto.front()
         assert [(p.energy_nj, p.latency_ns) for p in streamed] \
@@ -123,7 +127,7 @@ class TestDeterminism:
     def test_reduced_best_per_layer(self, tiny_layer):
         engine = ExplorationEngine(jobs=1)
         reduced = engine.explore_reduced([tiny_layer])
-        full = explore_layer(tiny_layer)
+        full = ExplorationEngine().explore_layer(tiny_layer)
         by_layer = reduced.best_per_layer(
             DRAMArchitecture.DDR3, ReuseScheme.ADAPTIVE_REUSE)
         assert by_layer[tiny_layer.name] == full.best(
@@ -139,27 +143,27 @@ class TestDeviceThreading:
     def test_explicit_default_device_is_identical(self, tiny_layer):
         from repro.dram.device import default_device
 
-        implicit = explore_layer(tiny_layer, jobs=1)
-        explicit = explore_layer(
-            tiny_layer, jobs=1, device=default_device())
+        implicit = ExplorationEngine(jobs=1).explore_layer(tiny_layer)
+        explicit = ExplorationEngine(jobs=1).explore_layer(
+            tiny_layer, device=default_device())
         assert implicit.points == explicit.points
 
     def test_parallel_workers_reconstruct_the_device(self, tiny_layer):
         from repro.dram.device import DDR4_2400_DEVICE
 
-        serial = explore_layer(
-            tiny_layer, jobs=1, device=DDR4_2400_DEVICE)
-        parallel = explore_layer(
-            tiny_layer, jobs=2, chunk_size=61, device=DDR4_2400_DEVICE)
+        serial = ExplorationEngine(jobs=1).explore_layer(
+            tiny_layer, device=DDR4_2400_DEVICE)
+        parallel = ExplorationEngine(jobs=2, chunk_size=61).explore_layer(
+            tiny_layer, device=DDR4_2400_DEVICE)
         assert serial.points == parallel.points
 
     def test_devices_change_the_numbers(self, tiny_layer):
         from repro.dram.device import DDR4_2400_DEVICE
 
-        ddr3 = explore_layer(
-            tiny_layer, architectures=(DRAMArchitecture.DDR3,), jobs=1)
-        ddr4 = explore_layer(
-            tiny_layer, architectures=(DRAMArchitecture.DDR3,), jobs=1,
+        ddr3 = ExplorationEngine(jobs=1).explore_layer(
+            tiny_layer, architectures=(DRAMArchitecture.DDR3,))
+        ddr4 = ExplorationEngine(jobs=1).explore_layer(
+            tiny_layer, architectures=(DRAMArchitecture.DDR3,),
             device=DDR4_2400_DEVICE)
         assert len(ddr3.points) == len(ddr4.points)
         assert ddr3.best().edp_js != ddr4.best().edp_js
@@ -169,7 +173,7 @@ class TestDeviceThreading:
         from repro.errors import ConfigurationError
 
         with pytest.raises(ConfigurationError, match="does not support"):
-            explore_layer(
+            ExplorationEngine().explore_layer(
                 tiny_layer,
                 architectures=(DRAMArchitecture.SALP_MASA,),
                 device=LPDDR4_3200_DEVICE)
@@ -272,7 +276,7 @@ class TestProgress:
 class TestValidation:
     def test_empty_tilings_raise(self, tiny_layer):
         with pytest.raises(DseError):
-            explore_layer(tiny_layer, tilings=[])
+            ExplorationEngine().explore_layer(tiny_layer, tilings=[])
 
     def test_bad_jobs_rejected(self):
         with pytest.raises(ValueError):
@@ -289,8 +293,9 @@ class TestValidation:
         from repro.cnn.tiling import enumerate_tilings
 
         tilings = enumerate_tilings(tiny_layer)
-        via_engine = explore_layer(tiny_layer, tilings=tilings, jobs=1)
-        default = explore_layer(tiny_layer)
+        via_engine = ExplorationEngine(jobs=1).explore_layer(
+            tiny_layer, tilings=tilings)
+        default = ExplorationEngine().explore_layer(tiny_layer)
         assert via_engine.points == default.points
 
 
@@ -331,17 +336,17 @@ class TestControllerThreading:
     def test_explicit_default_controller_is_identical(self, tiny_layer):
         from repro.dram.policies import DEFAULT_CONTROLLER_CONFIG
 
-        implicit = explore_layer(tiny_layer)
-        explicit = explore_layer(
+        implicit = ExplorationEngine().explore_layer(tiny_layer)
+        explicit = ExplorationEngine().explore_layer(
             tiny_layer, controller=DEFAULT_CONTROLLER_CONFIG)
         assert implicit.points == explicit.points
 
     def test_controller_changes_the_numbers(self, tiny_layer):
         from repro.dram.policies import controller_config
 
-        default = explore_layer(
+        default = ExplorationEngine().explore_layer(
             tiny_layer, architectures=(DRAMArchitecture.DDR3,))
-        closed = explore_layer(
+        closed = ExplorationEngine().explore_layer(
             tiny_layer, architectures=(DRAMArchitecture.DDR3,),
             controller=controller_config(row_policy="closed"))
         assert default.best().edp_js != closed.best().edp_js
@@ -350,10 +355,10 @@ class TestControllerThreading:
         from repro.dram.policies import controller_config
 
         config = controller_config("fr-fcfs", "closed")
-        serial = explore_layer(
-            tiny_layer, jobs=1, controller=config)
-        parallel = explore_layer(
-            tiny_layer, jobs=2, chunk_size=7, controller=config)
+        serial = ExplorationEngine(jobs=1).explore_layer(
+            tiny_layer, controller=config)
+        parallel = ExplorationEngine(jobs=2, chunk_size=7).explore_layer(
+            tiny_layer, controller=config)
         assert parallel.points == serial.points
 
     def test_context_pickles_the_controller(self, tiny_layer):

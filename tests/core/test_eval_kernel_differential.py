@@ -8,10 +8,11 @@ combination the streaming tests exercise, the funnel's batched
 analytical scoring, and the reduced/Pareto merge paths.
 """
 
+import numpy as np
 import pytest
 
-from repro.cnn.models import alexnet, tiny_test_network
-from repro.core import eval_kernel
+from repro.cnn.scheduling import ALL_SCHEMES
+from repro.cnn.tiling import TABLE2_BUFFERS
 from repro.core.engine import (
     EvaluationCache,
     ExplorationEngine,
@@ -20,7 +21,6 @@ from repro.core.engine import (
 from repro.core.eval_kernel import (
     EVAL_MODELS,
     batch_scores,
-    have_numpy,
     iter_layer_segments,
     make_chunk_evaluator,
     validate_eval_model,
@@ -28,23 +28,21 @@ from repro.core.eval_kernel import (
 from repro.core.strategies import analytical_scores
 from repro.dram.characterize import DEFAULT_CHARACTERIZATION_CACHE
 from repro.dram.device import get_device
-from repro.cnn.scheduling import ALL_SCHEMES
-from repro.cnn.tiling import TABLE2_BUFFERS
 from repro.errors import CapacityError, DseError
 from repro.mapping.catalog import TABLE1_MAPPINGS
 from repro.mapping.counts import count_transitions, count_transitions_batch
-
-np = pytest.importorskip("numpy")
+from repro.workloads import get_workload
 
 
 @pytest.fixture(scope="module")
 def conv1():
-    return [layer for layer in alexnet() if layer.name == "CONV1"]
+    return [layer for layer in get_workload("alexnet").lower()
+            if layer.name == "CONV1"]
 
 
 @pytest.fixture(scope="module")
 def tiny_layer():
-    return tiny_test_network()[0]
+    return get_workload("tiny").lower()[0]
 
 
 @pytest.fixture(scope="module")
@@ -116,16 +114,10 @@ class TestBitIdentityOnAlexNet:
                                      jobs, chunk_size):
         vector = ExplorationEngine(
             jobs=jobs, chunk_size=chunk_size,
-            eval_model="vector").explore_network(conv1)
+            eval_model="auto").explore_network(conv1)
         assert vector.points == scalar_reference.points
         assert _hex_points(vector) == _hex_points(scalar_reference)
         assert vector.best() == scalar_reference.best()
-
-    def test_auto_equals_vector_equals_scalar(self, conv1,
-                                              scalar_reference):
-        auto = ExplorationEngine(jobs=1, eval_model="auto") \
-            .explore_network(conv1)
-        assert _hex_points(auto) == _hex_points(scalar_reference)
 
     @pytest.mark.parametrize("device_name",
                              ["ddr4-2400", "lpddr4-3200", "hbm2"])
@@ -133,7 +125,7 @@ class TestBitIdentityOnAlexNet:
         device = get_device(device_name)
         scalar = ExplorationEngine(jobs=1, eval_model="scalar") \
             .explore_network(conv1, device=device)
-        vector = ExplorationEngine(jobs=1, eval_model="vector") \
+        vector = ExplorationEngine(jobs=1, eval_model="auto") \
             .explore_network(conv1, device=device)
         assert _hex_points(vector) == _hex_points(scalar)
 
@@ -145,7 +137,7 @@ class TestReducedAndPareto:
         scalar = ExplorationEngine(jobs=1, eval_model="scalar") \
             .explore_reduced(conv1)
         vector = ExplorationEngine(jobs=2, chunk_size=61,
-                                   eval_model="vector") \
+                                   eval_model="auto") \
             .explore_reduced(conv1)
         assert vector.best() == scalar.best()
         assert vector.best_by_key == scalar.best_by_key
@@ -185,7 +177,7 @@ class TestFunnelAndScores:
                                    eval_model="scalar") \
             .explore_network(conv1)
         vector = ExplorationEngine(jobs=1, strategy="funnel",
-                                   eval_model="vector") \
+                                   eval_model="auto") \
             .explore_network(conv1)
         assert _hex_points(vector) == _hex_points(scalar)
         assert vector.scored_points == scalar.scored_points
@@ -198,7 +190,7 @@ class TestEvalModelKnob:
         with pytest.raises(DseError, match="unknown eval_model"):
             ExplorationEngine(eval_model="gpu")
         assert validate_eval_model("auto") == "auto"
-        assert set(EVAL_MODELS) == {"auto", "scalar", "vector"}
+        assert EVAL_MODELS == ("auto", "scalar")
 
     def test_scalar_model_returns_fallback_unchanged(self, tiny_layer):
         sentinel = object()
@@ -207,23 +199,6 @@ class TestEvalModelKnob:
             TABLE2_BUFFERS, None, None, DEFAULT_CHARACTERIZATION_CACHE)
         assert make_chunk_evaluator(
             context, EvaluationCache(), "scalar", sentinel) is sentinel
-
-    def test_vector_without_numpy_rejected(self, monkeypatch):
-        monkeypatch.setattr(eval_kernel, "np", None)
-        with pytest.raises(DseError, match="requires numpy"):
-            validate_eval_model("vector")
-
-    def test_auto_without_numpy_degrades_to_scalar(self, monkeypatch,
-                                                   tiny_layer):
-        monkeypatch.setattr(eval_kernel, "np", None)
-        assert not have_numpy()
-        sentinel = object()
-        context = _build_context(
-            [tiny_layer], None, ALL_SCHEMES, TABLE1_MAPPINGS,
-            TABLE2_BUFFERS, None, None, DEFAULT_CHARACTERIZATION_CACHE)
-        assert make_chunk_evaluator(
-            context, EvaluationCache(), "auto", sentinel) is sentinel
-        assert batch_scores(context, EvaluationCache()) is None
 
     def test_layer_segments_respect_boundaries(self, conv1, tiny_layer):
         context = _build_context(
@@ -259,18 +234,18 @@ class TestEvalModelKnob:
         assert boundaries <= {start for start, _ in chunks}
 
     def test_cache_stats_surfaced_serial_and_parallel(self, tiny_layer):
-        serial = ExplorationEngine(jobs=1, eval_model="vector") \
+        serial = ExplorationEngine(jobs=1, eval_model="auto") \
             .explore_network([tiny_layer])
         assert serial.eval_cache_stats is not None
         assert serial.eval_cache_stats.lookups > 0
         parallel = ExplorationEngine(jobs=2, chunk_size=7,
-                                     eval_model="vector") \
+                                     eval_model="auto") \
             .explore_network([tiny_layer])
         assert parallel.eval_cache_stats is not None
         assert parallel.eval_cache_stats.lookups > 0
 
     def test_cache_stats_merge_on_extend(self, tiny_layer):
-        first = ExplorationEngine(jobs=1, eval_model="vector") \
+        first = ExplorationEngine(jobs=1, eval_model="auto") \
             .explore_network([tiny_layer])
         second = ExplorationEngine(jobs=1, eval_model="scalar") \
             .explore_network([tiny_layer])

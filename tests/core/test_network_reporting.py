@@ -3,20 +3,28 @@
 import pytest
 
 from repro.cnn.scheduling import ReuseScheme
-from repro.core.dse import explore_workload
+from repro.core.engine import ExplorationEngine
 from repro.core.figures import network_edp_chart
 from repro.core.report import handoff_table, network_edp_table
 from repro.core.sweep import sweep_network_batch
 from repro.dram.architecture import DRAMArchitecture
-from repro.workloads import handoff_summary, zoo
+from repro.workloads import (
+    get_workload,
+    handoff_summary,
+    network_dse_summary,
+    zoo,
+)
 
 
 @pytest.fixture(scope="module")
 def tiny_summary():
-    _, _, summary = explore_workload(
-        "tiny", architecture=DRAMArchitecture.DDR3,
+    net = get_workload("tiny")
+    result = ExplorationEngine().explore_network(
+        net, architectures=(DRAMArchitecture.DDR3,),
+        schemes=(ReuseScheme.ADAPTIVE_REUSE,))
+    return network_dse_summary(
+        net, result, architecture=DRAMArchitecture.DDR3,
         scheme=ReuseScheme.ADAPTIVE_REUSE)
-    return summary
 
 
 class TestSweepNetworkBatch:

@@ -12,10 +12,8 @@ The two load-bearing guarantees:
 
 import pytest
 
-from repro.cnn.models import alexnet, tiny_test_network
 from repro.cnn.scheduling import ReuseScheme
-from repro.core.dse import best_mapping_per_layer, explore_network
-from repro.core.dse import explore_layer
+from repro.core.dse import best_mapping_per_layer
 from repro.core.engine import ExplorationEngine, _build_context
 from repro.core.strategies import (
     MIN_EXACT_PER_SLICE,
@@ -29,18 +27,19 @@ from repro.core.strategies import (
 )
 from repro.dram.architecture import DRAMArchitecture
 from repro.errors import ConfigurationError
+from repro.workloads import get_workload
 
 DDR3 = DRAMArchitecture.DDR3
 
 
 @pytest.fixture(scope="module")
 def tiny_layer():
-    return tiny_test_network()[0]
+    return get_workload("tiny").lower()[0]
 
 
 @pytest.fixture(scope="module")
 def tiny_full(tiny_layer):
-    return explore_layer(tiny_layer)
+    return ExplorationEngine().explore_layer(tiny_layer)
 
 
 class TestRegistry:
@@ -100,7 +99,8 @@ class TestRegistry:
 class TestExhaustiveByteIdentity:
     def test_explicit_exhaustive_identical_to_default(
             self, tiny_layer, tiny_full):
-        explicit = explore_layer(tiny_layer, strategy="exhaustive")
+        explicit = ExplorationEngine().explore_layer(
+            tiny_layer, strategy="exhaustive")
         assert explicit.points == tiny_full.points
 
     def test_default_provenance(self, tiny_full):
@@ -112,8 +112,8 @@ class TestExhaustiveByteIdentity:
 
     def test_parallel_exhaustive_still_identical(
             self, tiny_layer, tiny_full):
-        parallel = explore_layer(
-            tiny_layer, strategy="exhaustive", jobs=2, chunk_size=17)
+        parallel = ExplorationEngine(jobs=2, chunk_size=17).explore_layer(
+            tiny_layer, strategy="exhaustive")
         assert parallel.points == tiny_full.points
 
     def test_run_records_strategy_and_seed(self, tiny_layer):
@@ -165,18 +165,23 @@ class TestExhaustiveByteIdentity:
 
 class TestRandomStrategy:
     def test_same_seed_same_points(self, tiny_layer):
-        first = explore_layer(tiny_layer, strategy="random", seed=7)
-        second = explore_layer(tiny_layer, strategy="random", seed=7)
+        first = ExplorationEngine().explore_layer(
+            tiny_layer, strategy="random", seed=7)
+        second = ExplorationEngine().explore_layer(
+            tiny_layer, strategy="random", seed=7)
         assert first.points == second.points
         assert first.seed == 7
 
     def test_different_seed_different_sample(self, tiny_layer):
-        first = explore_layer(tiny_layer, strategy="random", seed=7)
-        second = explore_layer(tiny_layer, strategy="random", seed=8)
+        first = ExplorationEngine().explore_layer(
+            tiny_layer, strategy="random", seed=7)
+        second = ExplorationEngine().explore_layer(
+            tiny_layer, strategy="random", seed=8)
         assert first.points != second.points
 
     def test_points_are_an_ordered_subset(self, tiny_layer, tiny_full):
-        sampled = explore_layer(tiny_layer, strategy="random", seed=3)
+        sampled = ExplorationEngine().explore_layer(
+            tiny_layer, strategy="random", seed=3)
         assert sampled.evaluated_points == len(sampled.points)
         assert sampled.evaluated_points < tiny_full.total_points
         positions = [tiny_full.points.index(point)
@@ -184,21 +189,23 @@ class TestRandomStrategy:
         assert positions == sorted(positions)
 
     def test_fraction_controls_sample_size(self, tiny_layer, tiny_full):
-        half = explore_layer(
+        half = ExplorationEngine().explore_layer(
             tiny_layer, strategy="random",
             strategy_options={"fraction": 0.5})
         assert half.evaluated_points >= tiny_full.total_points // 2
 
     def test_parallel_matches_serial(self, tiny_layer):
-        serial = explore_layer(tiny_layer, strategy="random", seed=5)
-        parallel = explore_layer(
-            tiny_layer, strategy="random", seed=5, jobs=2, chunk_size=7)
+        serial = ExplorationEngine().explore_layer(
+            tiny_layer, strategy="random", seed=5)
+        parallel = ExplorationEngine(jobs=2, chunk_size=7).explore_layer(
+            tiny_layer, strategy="random", seed=5)
         assert parallel.points == serial.points
 
 
 class TestGreedyRefine:
     def test_finds_the_tiny_grid_optimum(self, tiny_layer, tiny_full):
-        greedy = explore_layer(tiny_layer, strategy="greedy-refine")
+        greedy = ExplorationEngine().explore_layer(
+            tiny_layer, strategy="greedy-refine")
         # Equal-EDP ties may resolve to a different (scheme, tiling)
         # than the exhaustive scan; the achieved optimum is what the
         # strategy guarantees.
@@ -206,14 +213,15 @@ class TestGreedyRefine:
         assert greedy.evaluated_points < tiny_full.total_points
 
     def test_deterministic_per_seed(self, tiny_layer):
-        first = explore_layer(
+        first = ExplorationEngine().explore_layer(
             tiny_layer, strategy="greedy-refine", seed=2)
-        second = explore_layer(
+        second = ExplorationEngine().explore_layer(
             tiny_layer, strategy="greedy-refine", seed=2)
         assert first.points == second.points
 
     def test_probes_are_never_duplicated(self, tiny_layer):
-        greedy = explore_layer(tiny_layer, strategy="greedy-refine")
+        greedy = ExplorationEngine().explore_layer(
+            tiny_layer, strategy="greedy-refine")
         names = [(p.layer_name, p.architecture, p.scheme, p.policy,
                   p.tiling) for p in greedy.points]
         assert len(names) == len(set(names))
@@ -235,15 +243,17 @@ class TestFunnel:
         assert all(score > 0 for score in scores)
 
     def test_funnel_matches_exhaustive_best(self, tiny_layer, tiny_full):
-        funnel = explore_layer(tiny_layer, strategy="funnel")
+        funnel = ExplorationEngine().explore_layer(
+            tiny_layer, strategy="funnel")
         assert funnel.best() == tiny_full.best()
         assert funnel.scored_points == tiny_full.total_points
         assert funnel.evaluated_points < tiny_full.total_points
 
     def test_parallel_matches_serial(self, tiny_layer):
-        serial = explore_layer(tiny_layer, strategy="funnel")
-        parallel = explore_layer(
-            tiny_layer, strategy="funnel", jobs=2, chunk_size=7)
+        serial = ExplorationEngine().explore_layer(
+            tiny_layer, strategy="funnel")
+        parallel = ExplorationEngine(jobs=2, chunk_size=7).explore_layer(
+            tiny_layer, strategy="funnel")
         assert parallel.points == serial.points
 
     def test_reduced_mode_works_with_funnel(self, tiny_layer, tiny_full):
@@ -253,7 +263,7 @@ class TestFunnel:
 
     def test_min_exact_floor_covers_every_slice(self, tiny_layer,
                                                 tiny_full):
-        funnel = explore_layer(
+        funnel = ExplorationEngine().explore_layer(
             tiny_layer, strategy="funnel",
             strategy_options={"top_fraction": 0.01})
         architectures = {p.architecture for p in tiny_full.points}
@@ -271,15 +281,15 @@ class TestFunnelAlexNetPinned:
 
     @pytest.fixture(scope="class")
     def layers(self):
-        return alexnet()
+        return get_workload("alexnet").lower()
 
     @pytest.fixture(scope="class")
     def exhaustive(self, layers):
-        return explore_network(layers)
+        return ExplorationEngine().explore_network(layers)
 
     @pytest.fixture(scope="class")
     def funnel(self, layers):
-        return explore_network(layers, strategy="funnel")
+        return ExplorationEngine().explore_network(layers, strategy="funnel")
 
     def test_at_least_10x_fewer_exact_evaluations(self, exhaustive,
                                                   funnel):
@@ -340,15 +350,19 @@ class TestSweepThreading:
 
 class TestResultMerging:
     def test_extend_accumulates_counts(self, tiny_layer):
-        first = explore_layer(tiny_layer, strategy="funnel")
-        second = explore_layer(tiny_layer, strategy="funnel")
+        first = ExplorationEngine().explore_layer(
+            tiny_layer, strategy="funnel")
+        second = ExplorationEngine().explore_layer(
+            tiny_layer, strategy="funnel")
         merged_total = first.total_points + second.total_points
         first.extend(second)
         assert first.total_points == merged_total
         assert first.strategy == "funnel"
 
     def test_extend_mixed_strategies_flagged(self, tiny_layer):
-        funnel = explore_layer(tiny_layer, strategy="funnel")
-        random_result = explore_layer(tiny_layer, strategy="random")
+        funnel = ExplorationEngine().explore_layer(
+            tiny_layer, strategy="funnel")
+        random_result = ExplorationEngine().explore_layer(
+            tiny_layer, strategy="random")
         funnel.extend(random_result)
         assert funnel.strategy == "mixed"

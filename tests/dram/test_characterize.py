@@ -6,15 +6,16 @@ from repro.dram.architecture import DRAMArchitecture
 from repro.dram.characterize import (
     ALL_CONDITIONS,
     AccessCondition,
-    characterize_all,
-    characterize_preset,
+    characterize_cached,
+    characterize_device,
 )
 from repro.dram.commands import RequestKind
+from repro.dram.device import default_device
 
 
 @pytest.fixture(scope="module")
 def figures():
-    return characterize_all()
+    return characterize_device(default_device())
 
 
 class TestStructure:
@@ -40,8 +41,8 @@ class TestStructure:
         assert cost.energy_nj(RequestKind.WRITE) == cost.write_energy_nj
 
     def test_cached_preset(self):
-        first = characterize_preset(DRAMArchitecture.DDR3)
-        second = characterize_preset(DRAMArchitecture.DDR3)
+        first = characterize_cached(DRAMArchitecture.DDR3)
+        second = characterize_cached(DRAMArchitecture.DDR3)
         assert first is second
 
 

@@ -193,3 +193,22 @@ class TestDeviceRegistry:
         derived = resolve_device(organization=custom)
         assert derived.organization is custom
         assert derived.timings is DDR3_1600_TIMINGS
+
+    def test_resolve_device_rejects_a_name(self):
+        """A device name is not a profile: it fails at the boundary,
+        naming the registered devices and the lookup to use."""
+        with pytest.raises(ConfigurationError) as excinfo:
+            resolve_device("hbm2")
+        message = str(excinfo.value)
+        assert "'hbm2'" in message
+        assert "get_device" in message
+        for name in device_names():
+            assert name in message
+
+    def test_engine_rejects_a_device_name_up_front(self):
+        from repro.core.engine import ExplorationEngine
+        from repro.workloads import get_workload
+
+        with pytest.raises(ConfigurationError, match="get_device"):
+            ExplorationEngine().explore_network(
+                get_workload("lenet5"), device="hbm2")

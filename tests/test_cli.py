@@ -125,21 +125,6 @@ class TestDse:
         assert code == 0
         assert "ddr4-2400" in out
 
-    def test_eval_model_outputs_identical(self, capsys):
-        outputs = {}
-        for eval_model in ("scalar", "vector", "auto"):
-            code, out = run_cli(capsys, "dse", "--model", "lenet5",
-                                "--layer", "C1",
-                                "--eval-model", eval_model)
-            assert code == 0
-            outputs[eval_model] = out
-        assert outputs["scalar"] == outputs["vector"] == outputs["auto"]
-
-    def test_eval_model_rejects_unknown(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["dse", "--model", "lenet5", "--eval-model", "gpu"])
-        assert "--eval-model" in capsys.readouterr().err
-
 
 class TestTraffic:
     def test_traffic_table(self, capsys):

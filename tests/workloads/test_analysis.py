@@ -4,7 +4,7 @@ import pytest
 
 from repro.cnn.scheduling import ReuseScheme
 from repro.cnn.tiling import BufferConfig
-from repro.core.dse import explore_network, explore_workload
+from repro.core.engine import ExplorationEngine
 from repro.dram.architecture import DRAMArchitecture
 from repro.errors import WorkloadError
 from repro.workloads import (
@@ -74,7 +74,7 @@ class TestNetworkDseSummary:
     @pytest.fixture(scope="class")
     def explored(self):
         net = residual_net()
-        result = explore_network(
+        result = ExplorationEngine().explore_network(
             net, architectures=(DRAMArchitecture.DDR3,),
             schemes=(ReuseScheme.ADAPTIVE_REUSE,))
         return net, result
@@ -106,36 +106,17 @@ class TestNetworkDseSummary:
         summary = network_dse_summary(net, result)
         assert summary.best_points()["CONV1"].layer_name == "CONV1"
 
-
-class TestExploreWorkload:
-    def test_by_name_end_to_end(self):
-        net, result, summary = explore_workload(
-            "tiny", architecture=DRAMArchitecture.DDR3,
+    def test_registered_workload_end_to_end(self):
+        net = get_workload("tiny")
+        result = ExplorationEngine().explore_network(
+            net, architectures=(DRAMArchitecture.DDR3,),
+            schemes=(ReuseScheme.ADAPTIVE_REUSE,))
+        summary = network_dse_summary(
+            net, result, architecture=DRAMArchitecture.DDR3,
             scheme=ReuseScheme.ADAPTIVE_REUSE)
-        assert net.name == "tiny"
         assert [name for name, _ in summary.per_op] \
             == ["TINY_CONV", "TINY_FC"]
         assert summary.total_edp_js > 0
         # The record only holds the requested slice.
         assert all(p.architecture is DRAMArchitecture.DDR3
                    for p in result.points)
-
-    def test_accepts_prebuilt_network(self):
-        net = residual_net()
-        same, _, summary = explore_workload(
-            net, architecture=DRAMArchitecture.DDR3,
-            scheme=ReuseScheme.OFMS_REUSE)
-        assert same is net
-        assert summary.handoffs.network_name == "res-toy"
-
-    def test_conflicting_grid_kwargs_rejected(self):
-        from repro.errors import DseError
-
-        with pytest.raises(DseError, match="not both"):
-            explore_workload(
-                "tiny", architecture=DRAMArchitecture.DDR3,
-                architectures=(DRAMArchitecture.SALP_MASA,))
-        with pytest.raises(DseError, match="not both"):
-            explore_workload(
-                "tiny", scheme=ReuseScheme.OFMS_REUSE,
-                schemes=(ReuseScheme.IFMS_REUSE,))

@@ -13,15 +13,15 @@ Two invariants the refactor must never drift from:
 import pytest
 
 from repro.cnn.layer import ConvLayer
-from repro.cnn.models import alexnet
 from repro.cnn.scheduling import ALL_SCHEMES, ReuseScheme
 from repro.cnn.tiling import enumerate_tilings
 from repro.cnn.traffic import layer_traffic
-from repro.core.dse import best_mapping_per_layer, explore_network
+from repro.core.dse import best_mapping_per_layer
 from repro.core.edp import layer_edp
+from repro.core.engine import ExplorationEngine
 from repro.dram.architecture import DRAMArchitecture
 from repro.mapping.catalog import TABLE1_MAPPINGS
-from repro.workloads import MatmulOp, TensorSpec, zoo
+from repro.workloads import MatmulOp, TensorSpec, get_workload, zoo
 
 
 class TestMatmulEqualsFullyConnected:
@@ -101,14 +101,14 @@ class TestAlexNetCompatShimGolden:
 
     @pytest.fixture(scope="class")
     def result(self):
-        return explore_network(
-            alexnet(),
+        return ExplorationEngine().explore_network(
+            get_workload("alexnet").lower(),
             architectures=(DRAMArchitecture.DDR3,),
             schemes=(ReuseScheme.ADAPTIVE_REUSE,))
 
     def test_shim_lowers_byte_identically_to_graph(self):
-        assert alexnet() == zoo.alexnet().lower()
-        assert alexnet(batch=4, bytes_per_element=2) \
+        assert get_workload("alexnet").lower() == zoo.alexnet().lower()
+        assert get_workload("alexnet", batch=4, bytes_per_element=2).lower() \
             == zoo.alexnet(batch=4, bytes_per_element=2).lower()
 
     def test_per_layer_minima_pinned(self, result):
@@ -125,7 +125,7 @@ class TestAlexNetCompatShimGolden:
             assert f"{point.edp_js:.9e}" == edp
 
     def test_graph_path_produces_identical_records(self, result):
-        graph_result = explore_network(
+        graph_result = ExplorationEngine().explore_network(
             zoo.alexnet(),
             architectures=(DRAMArchitecture.DDR3,),
             schemes=(ReuseScheme.ADAPTIVE_REUSE,))
