@@ -3,7 +3,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: test bench bench-devices bench-workloads bench-policies \
 	bench-strategies bench-contention bench-kernel bench-eval \
-	cov cov-core lint
+	bench-e2e-check cov cov-core lint
 
 ## tier-1 verification: the full unit/property/integration/benchmark suite
 test:
@@ -57,6 +57,21 @@ bench-eval:
 cov:
 	$(PYTHON) -m pytest tests/dram -q --cov=repro.dram \
 		--cov-report=term-missing --cov-fail-under=85
+
+## end-to-end DSE benchmark smoke run of every workload, traced so a
+## stale tracer target fails; run.py exits 0 even when a request's
+## result differs from dsebench/reference.json, so check the
+## "correct" field of its last stdout line
+E2E_WORKLOADS = paper-cnn scenario-cold funnel-devices
+bench-e2e-check:
+	@for workload in $(E2E_WORKLOADS); do \
+		$(PYTHON) dsebench/run.py --workload $$workload --seed 0 \
+			--seconds 1 --trace 1 | tail -n 1 | $(PYTHON) -c \
+			'import json, sys; r = json.loads(sys.stdin.read()); \
+			print(sys.argv[1], "correct:", r["correct"], \
+			"failed:", r["failed"]); sys.exit(r["correct"] is not True)' \
+			$$workload || exit 1; \
+	done
 
 ## line-coverage floor for the exploration stack (engine, strategies,
 ## sweeps, reporting; requires pytest-cov; CI installs it)

@@ -18,6 +18,7 @@ from repro.core.engine import ExplorationEngine
 from repro.core.report import format_table
 from repro.dram.architecture import ALL_ARCHITECTURES
 from repro.dram.characterize import characterize_cached
+from repro.dram.scenario import Scenario
 from repro.workloads import zoo
 
 from ._timing import interleaved_best_of
@@ -83,7 +84,7 @@ def test_analytical_scoring_is_a_fraction_of_exact_evaluation():
     network = zoo.alexnet()
     context = _build_context(
         network, None, ALL_SCHEMES, TABLE1_MAPPINGS, TABLE2_BUFFERS,
-        None, None, DEFAULT_CHARACTERIZATION_CACHE)
+        None, DEFAULT_CHARACTERIZATION_CACHE, Scenario.of())
     engine = ExplorationEngine(jobs=1)
     engine.explore_network(network)  # warm evaluation memos
 

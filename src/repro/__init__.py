@@ -62,6 +62,7 @@ from .dram.policies import (
     row_policy_names,
     scheduler_names,
 )
+from .dram.scenario import Scenario
 from .errors import (
     CapacityError,
     ConfigurationError,
@@ -143,6 +144,7 @@ __all__ = [
     "PoolOp",
     "ReproError",
     "ReuseScheme",
+    "Scenario",
     "SchedulingError",
     "TensorSpec",
     "TilingConfig",

@@ -49,9 +49,7 @@ cost tables for every registered device.
 ``--scheduler`` / ``--row-policy`` select the memory-controller
 configuration (see ``repro policies``); the defaults are the paper's
 Table-II controller, ``fcfs`` and ``open``.  Non-default
-configurations are flagged in the table titles; DRAM traffic volumes
-are controller-independent, so ``traffic`` accepts the flags for
-interface uniformity but its byte counts never change.
+configurations are flagged in the table titles.
 
 ``--requestors`` / ``--arbiter`` select the channel-contention
 configuration (see ``repro arbiters``): how many tagged request
@@ -120,6 +118,7 @@ from .dram.policies import (
     row_policy_names,
     scheduler_names,
 )
+from .dram.scenario import Scenario
 from .errors import ConfigurationError
 from .mapping.catalog import TABLE1_MAPPINGS, mapping_by_index
 from .units import format_bytes
@@ -248,12 +247,18 @@ def cmd_characterize(args: argparse.Namespace) -> int:
     if model == "kernel":
         from .dram.kernel import kernel_ineligibility
 
-        reason = kernel_ineligibility(config, channel)
+        reason = kernel_ineligibility(
+            Scenario.of(controller=config, contention=channel))
         if reason is not None:
             print(f"warning: model 'kernel' cannot characterize "
                   f"{reason}; falling back to the simulator",
                   file=sys.stderr)
             model = "simulator"
+    if model == "analytical" and not channel.is_default:
+        raise ConfigurationError(
+            f"model 'analytical' cannot characterize {channel.label} "
+            "(the closed form is contention-blind); use --model auto "
+            "or --model simulator")
     if args.device == "all":
         devices = list(DEVICE_REGISTRY)
         if requested is not None:
@@ -277,11 +282,12 @@ def cmd_characterize(args: argparse.Namespace) -> int:
         else:
             architectures = device.supported_architectures
         if model == "analytical":
-            from .dram.characterize import characterize_analytical
+            from .dram.analytical import analytical_characterization
 
+            scenario = Scenario.of(device, controller=config)
             results = {
-                architecture: characterize_analytical(
-                    architecture, device=device, controller=config)
+                architecture: analytical_characterization(
+                    scenario, architecture)
                 for architecture in architectures
             }
         else:
@@ -423,9 +429,6 @@ def cmd_traffic(args: argparse.Namespace) -> int:
     burst differ across generations).
     """
     device = _device(args.device) if args.device else None
-    # --scheduler/--row-policy are accepted for interface uniformity
-    # (argparse constrains them to registered names); traffic volumes
-    # are controller-independent, so they affect nothing here.
     rows = []
     for layer in _layers(args):
         tiling = enumerate_tilings(layer)[0]
@@ -735,7 +738,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_traffic.add_argument("--device", default=None,
                            help="device profile name: adds per-device "
                                 "burst counts")
-    add_controller_arguments(p_traffic)
     p_traffic.set_defaults(func=cmd_traffic)
 
     p_models = subparsers.add_parser(

@@ -18,8 +18,9 @@ from ..dram.characterize import (
 )
 from ..dram.architecture import DRAMArchitecture
 from ..dram.commands import RequestKind
-from ..dram.device import DeviceProfile, resolve_device
+from ..dram.device import DeviceProfile
 from ..dram.policies import ControllerConfig
+from ..dram.scenario import Scenario
 from ..dram.spec import DRAMOrganization
 from ..cnn.layer import ConvLayer
 from ..cnn.scheduling import ReuseScheme
@@ -166,15 +167,16 @@ def layer_edp(
     then memoized across calls, which the Algorithm-1 grid reuses
     24-fold per tiling.
     """
-    profile = resolve_device(device, organization)
-    organization = profile.organization
+    scenario = Scenario.of(device, organization, controller)
+    organization = scenario.device.organization
     if cache is not None:
         resolved = cache.resolve_scheme(layer, tiling, scheme)
     else:
         resolved = resolve_adaptive(layer, tiling, scheme)
     if characterization is None:
         characterization = characterize_cached(
-            architecture, device=profile, controller=controller)
+            architecture, device=scenario.device,
+            controller=scenario.controller)
     if cache is not None:
         traffic: LayerTraffic = cache.traffic(layer, tiling, resolved)
     else:
@@ -208,14 +210,15 @@ def network_edp(
     controller: Optional[ControllerConfig] = None,
 ) -> NetworkEDP:
     """EDP of a whole network with per-layer tilings."""
-    profile = resolve_device(device, organization)
+    scenario = Scenario.of(device, organization, controller)
     characterization = characterize_cached(
-        architecture, device=profile, controller=controller)
+        architecture, device=scenario.device,
+        controller=scenario.controller)
     per_layer: Dict[str, LayerEDP] = {}
     for layer in layers:
         per_layer[layer.name] = layer_edp(
             layer, tilings[layer.name], scheme, policy, architecture,
             characterization=characterization,
-            device=profile,
+            device=scenario.device,
         )
     return NetworkEDP(per_layer=per_layer)

@@ -15,8 +15,9 @@ intermediate per point.  This module is the scalable replacement:
 2. **Characterization caching** — the Fig.-1 per-condition costs are
    fetched through the process-wide LRU
    :class:`repro.dram.characterize.CharacterizationCache`, keyed on
-   ``(profile, architecture)``, so ``characterize`` runs once per
-   device configuration instead of once per design point.
+   the :class:`~repro.dram.scenario.Scenario` and the architecture, so
+   ``characterize`` runs once per configuration instead of once per
+   design point.
 3. **Evaluation memoization** — an :class:`EvaluationCache` memoizes
    the policy-independent intermediates of the EDP model: DRAM traffic
    per ``(layer, tiling, scheme)``, adaptive-scheme resolution, and the
@@ -104,17 +105,10 @@ from ..dram.characterize import (
     CharacterizationResult,
     DEFAULT_CHARACTERIZATION_CACHE,
 )
-from ..dram.contention import (
-    DEFAULT_CONTENTION_CONFIG,
-    ContentionConfig,
-    resolve_contention,
-)
-from ..dram.device import DeviceProfile, resolve_device
-from ..dram.policies import (
-    DEFAULT_CONTROLLER_CONFIG,
-    ControllerConfig,
-    resolve_controller,
-)
+from ..dram.contention import ContentionConfig
+from ..dram.device import DeviceProfile
+from ..dram.policies import ControllerConfig
+from ..dram.scenario import Scenario
 from ..dram.spec import DRAMOrganization
 from ..errors import DseError
 from ..mapping.catalog import TABLE1_MAPPINGS
@@ -273,21 +267,15 @@ class ExplorationContext:
     architectures: Tuple[DRAMArchitecture, ...]
     schemes: Tuple[ReuseScheme, ...]
     policies: Tuple[MappingPolicy, ...]
-    device: DeviceProfile
+    #: Device, controller and contention the characterizations were
+    #: measured under; workers evaluate on exactly this scenario.
+    scenario: Scenario
     characterizations: Dict[DRAMArchitecture, CharacterizationResult]
     offsets: Tuple[int, ...]  # layers[i].offset, precomputed for decode
     #: Workload graph the layers were lowered from, when the caller
     #: passed a :class:`repro.workloads.Network`; shipped to workers
     #: with the rest of the context so provenance survives pickling.
     workload: Optional[Network] = None
-    #: Memory-controller configuration the characterizations were
-    #: measured under; pickled with the context so worker processes
-    #: share the exact controller provenance.
-    controller: ControllerConfig = DEFAULT_CONTROLLER_CONFIG
-    #: Channel-contention configuration the characterizations were
-    #: measured under (requestor count + arbiter); pickled with the
-    #: context for the same provenance reason.
-    contention: ContentionConfig = DEFAULT_CONTENTION_CONFIG
     #: Search strategy driving the exploration (provenance: shipped to
     #: workers and recorded on the result).
     strategy: str = "exhaustive"
@@ -298,7 +286,7 @@ class ExplorationContext:
     @property
     def organization(self) -> DRAMOrganization:
         """Geometry the grid is evaluated on (the device's)."""
-        return self.device.organization
+        return self.scenario.device.organization
 
     @property
     def total_points(self) -> int:
@@ -353,36 +341,26 @@ def _build_context(
     schemes: Sequence[ReuseScheme],
     policies: Sequence[MappingPolicy],
     buffers: BufferConfig,
-    organization: Optional[DRAMOrganization],
     tilings: Optional[Sequence[TilingConfig]],
     characterization_cache: CharacterizationCache,
-    device: Optional[DeviceProfile] = None,
-    controller: Optional[ControllerConfig] = None,
-    contention: Optional[ContentionConfig] = None,
+    scenario: Scenario,
     strategy: str = "exhaustive",
     seed: Optional[int] = None,
 ) -> ExplorationContext:
     """Validate the grid and pre-compute everything shards share.
 
-    The resolved :class:`DeviceProfile` (with ``organization`` folded
-    in), :class:`ControllerConfig` and :class:`ContentionConfig` are
-    embedded in the context, so worker processes reconstruct the exact
-    device, controller and channel deterministically from the pickled
-    context alone.  ``architectures=None`` selects the device's
-    capability set; an explicit sequence must be within it.
+    ``architectures=None`` selects the scenario device's capability
+    set; an explicit sequence must be within it.
 
     ``layers`` may be a :class:`repro.workloads.Network`; it is
     lowered to the 7-dim loop nests here and kept on the context.
     """
     workload = layers if isinstance(layers, Network) else None
     layers = as_layers(layers)
-    profile = resolve_device(device, organization)
-    config = resolve_controller(controller)
-    channel = resolve_contention(contention)
     if architectures is None:
-        architectures = profile.supported_architectures
+        architectures = scenario.device.supported_architectures
     for architecture in architectures:
-        profile.require_architecture(architecture)
+        scenario.device.require_architecture(architecture)
     grids: List[_LayerGrid] = []
     offset = 0
     per_point = len(architectures) * len(schemes) * len(policies)
@@ -414,19 +392,17 @@ def _build_context(
     # are characterized in a single amortized kernel pass instead of
     # one simulator walk each (semantics identical to per-arch get).
     characterizations = characterization_cache.get_many(
-        architectures, device=profile, controller=config,
-        contention=channel)
+        architectures, device=scenario.device,
+        controller=scenario.controller, contention=scenario.contention)
     return ExplorationContext(
         layers=tuple(grids),
         architectures=tuple(architectures),
         schemes=tuple(schemes),
         policies=tuple(policies),
-        device=profile,
+        scenario=scenario,
         characterizations=characterizations,
         offsets=tuple(grid.offset for grid in grids),
         workload=workload,
-        controller=config,
-        contention=channel,
         strategy=strategy,
         seed=seed,
     )
@@ -467,7 +443,7 @@ def _evaluate_range(
             layer, tiling, scheme, policy, architecture,
             characterization=context.characterizations[architecture],
             cache=cache,
-            device=context.device,
+            device=context.scenario.device,
         )
         points.append(DsePoint(
             layer_name=layer.name,
@@ -772,8 +748,8 @@ class ExplorationEngine:
         The result records the strategy, seed and evaluation counts.
         """
         search, run, shard_iter = self._start(
-            layers, architectures, schemes, policies, buffers,
-            organization, tilings, device, controller, contention,
+            layers, architectures, schemes, policies, buffers, tilings,
+            Scenario.of(device, organization, controller, contention),
             strategy, seed, strategy_options)
         shards: Dict[int, List[DsePoint]] = {}
         serial_before = self.evaluation_cache.stats
@@ -819,8 +795,8 @@ class ExplorationEngine:
         arrive).
         """
         _search, run, shard_iter = self._start(
-            layers, architectures, schemes, policies, buffers,
-            organization, tilings, device, controller, contention,
+            layers, architectures, schemes, policies, buffers, tilings,
+            Scenario.of(device, organization, controller, contention),
             strategy, seed, strategy_options)
         reduced = ReducedExploration()
         serial_before = self.evaluation_cache.stats
@@ -853,11 +829,8 @@ class ExplorationEngine:
         schemes,
         policies,
         buffers,
-        organization,
         tilings,
-        device,
-        controller,
-        contention,
+        scenario,
         strategy,
         seed,
         strategy_options,
@@ -871,9 +844,8 @@ class ExplorationEngine:
         search, run_seed = self._resolve_strategy(
             strategy, seed, strategy_options)
         context = _build_context(
-            layers, architectures, schemes, policies, buffers,
-            organization, tilings, self.characterization_cache,
-            device=device, controller=controller, contention=contention,
+            layers, architectures, schemes, policies, buffers, tilings,
+            self.characterization_cache, scenario,
             strategy=search.name, seed=run_seed)
         run = StrategyRun(
             strategy=search.name,

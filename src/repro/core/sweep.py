@@ -37,8 +37,9 @@ from ..cnn.scheduling import ReuseScheme
 from ..cnn.tiling import BufferConfig, TABLE2_BUFFERS
 from ..dram.architecture import DRAMArchitecture
 from ..dram.contention import ContentionConfig
-from ..dram.device import DeviceProfile, resolve_device
+from ..dram.device import DeviceProfile
 from ..dram.policies import ControllerConfig
+from ..dram.scenario import Scenario
 from ..mapping.catalog import DRMAP, MAPPING_2
 from ..mapping.policy import MappingPolicy
 from .engine import ExplorationEngine
@@ -107,7 +108,7 @@ def sweep_subarrays(
     More subarrays give SALP more parallelism to exploit -- and give
     bad mappings more subarray boundaries to trip over.
     """
-    profile = resolve_device(device)
+    profile = Scenario.of(device).device
     engine = ExplorationEngine()
     return [
         _compare(engine, "subarrays_per_bank", count, [layer],

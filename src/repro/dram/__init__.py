@@ -28,7 +28,6 @@ from .characterize import (
     ConditionCost,
     DEFAULT_CHARACTERIZATION_CACHE,
     characterize,
-    characterize_analytical,
     characterize_cached,
     characterize_device,
 )
@@ -87,6 +86,7 @@ from .policies import (
     scheduler_names,
 )
 from .power import CurrentParameters, DDR3_1600_2GB_X8_CURRENTS, EnergyModel
+from .scenario import Scenario
 from .presets import (
     DDR3_1600_2GB_X8,
     TINY_ORGANIZATION,
@@ -148,6 +148,7 @@ __all__ = [
     "RequestorStats",
     "RowPolicyKind",
     "SALP_ARCHITECTURES",
+    "Scenario",
     "SchedulerKind",
     "ServicedRequest",
     "SimulationResult",
@@ -165,7 +166,6 @@ __all__ = [
     "compare_to_simulator",
     "contention_config",
     "controller_config",
-    "characterize_analytical",
     "characterize_cached",
     "characterize_device",
     "default_cache_dir",

@@ -2,7 +2,7 @@
 
 The cycle-level simulator measures the paper's Fig.-1 per-condition
 costs by running micro-experiment streams — tens of milliseconds per
-``(device, architecture, controller)``.  This module derives the same
+architecture and scenario.  This module derives the same
 five :class:`~repro.dram.characterize.AccessCondition` costs directly
 from a :class:`~repro.dram.device.DeviceProfile`'s JEDEC timing and
 IDD current parameters, in closed form, with no simulation at all.
@@ -42,7 +42,9 @@ Controller configurations adjust the model where they change the
 steady streams: a **closed-row** policy turns hits into reactivations
 and charges misses the auto-precharge; the **timeout** row policy and
 the **fr-fcfs** scheduler leave the single-stream characterization
-workloads unchanged and are modelled as open/fcfs.
+workloads unchanged and are modelled as open/fcfs.  The model is
+contention-blind: it ignores the scenario's channel contention and
+always scores the uncontended channel.
 
 On the shipped device presets the closed-form numbers match the
 simulator to within a few percent per condition (most are exact) —
@@ -64,35 +66,22 @@ from .characterize import (
     ConditionCost,
 )
 from .commands import RequestKind
-from .device import DeviceProfile, resolve_device
-from .policies import ControllerConfig, RowPolicyKind, resolve_controller
+from .device import DeviceProfile
+from .policies import ControllerConfig, RowPolicyKind
 from .power import EnergyModel
-from .spec import DRAMOrganization
+from .scenario import Scenario
 
 
 class AnalyticalModel:
-    """Closed-form Fig.-1 costs for one device + controller.
+    """Closed-form Fig.-1 costs for one scenario.
 
-    Parameters
-    ----------
-    device:
-        Device profile (default: the paper's Table-II device).
-    organization:
-        Optional geometry override of the profile (sweep use).
-    controller:
-        Memory-controller configuration (default: FCFS/open-row).
-        Only the row policy enters the formulas; see the module
-        docstring for the approximation notes.
+    Only the device and the controller's row policy enter the
+    formulas; see the module docstring for the approximation notes.
     """
 
-    def __init__(
-        self,
-        device: Optional[DeviceProfile] = None,
-        organization: Optional[DRAMOrganization] = None,
-        controller: Optional[ControllerConfig] = None,
-    ) -> None:
-        self.device = resolve_device(device, organization)
-        self.controller = resolve_controller(controller)
+    def __init__(self, scenario: Scenario) -> None:
+        self.device = scenario.device
+        self.controller = scenario.controller
         self.organization = self.device.organization
         self.timings = self.device.timings
         self.energy_model = EnergyModel(
@@ -297,29 +286,23 @@ class AnalyticalModel:
 
 
 #: Process-wide memo of analytical characterizations, keyed like the
-#: simulator cache on ``(profile, architecture, controller)``.
+#: simulator cache on ``(scenario, architecture)``.
 _ANALYTICAL_MEMO = LRUMemo(256)
 
 
 def analytical_characterization(
+    scenario: Scenario,
     architecture: DRAMArchitecture,
-    device: Optional[DeviceProfile] = None,
-    organization: Optional[DRAMOrganization] = None,
-    controller: Optional[ControllerConfig] = None,
 ) -> CharacterizationResult:
     """Memoized closed-form characterization of one configuration.
 
-    A drop-in sibling of
-    :func:`repro.dram.characterize.characterize_cached` that never
-    touches the cycle-level simulator.
+    The result has the simulator-measured shape, so every downstream
+    consumer is model-agnostic, but it never touches the cycle-level
+    simulator.
     """
-    profile = resolve_device(device, organization)
-    config = resolve_controller(controller)
     return _ANALYTICAL_MEMO.get_or_compute(
-        (profile, architecture, config),
-        lambda: AnalyticalModel(
-            device=profile, controller=config
-        ).characterization(architecture))
+        (scenario, architecture),
+        lambda: AnalyticalModel(scenario).characterization(architecture))
 
 
 def compare_to_simulator(
@@ -336,11 +319,11 @@ def compare_to_simulator(
     """
     from .characterize import characterize_cached
 
-    profile = resolve_device(device)
+    scenario = Scenario.of(device, controller=controller)
     exact = characterize_cached(
-        architecture, device=profile, controller=controller)
-    model = analytical_characterization(
-        architecture, device=profile, controller=controller)
+        architecture, device=scenario.device,
+        controller=scenario.controller)
+    model = analytical_characterization(scenario, architecture)
 
     def rel(a: float, b: float) -> float:
         if b == 0:

@@ -42,14 +42,10 @@ from .contention import (
     ContentionConfig,
     RequestorStats,
     per_requestor_stats,
-    resolve_contention,
 )
-from .device import DEFAULT_DEVICE_NAME, DeviceProfile, resolve_device
-from .policies import (
-    DEFAULT_CONTROLLER_CONFIG,
-    ControllerConfig,
-    resolve_controller,
-)
+from .device import DEFAULT_DEVICE_NAME, DeviceProfile
+from .policies import DEFAULT_CONTROLLER_CONFIG, ControllerConfig
+from .scenario import Scenario
 from .simulator import DRAMSimulator
 from .spec import DRAMOrganization
 
@@ -309,44 +305,42 @@ def characterize(
         raise ConfigurationError(
             f"unknown characterization model {model!r}; "
             f"choose one of {', '.join(CHARACTERIZE_MODELS)}")
+    scenario = Scenario.of(device, controller=controller,
+                           contention=contention)
     if simulator is None:
-        profile = resolve_device(device)
-        config = resolve_controller(controller)
-        channel = resolve_contention(contention)
         simulator = DRAMSimulator.from_profile(
-            profile, architecture, controller=config, contention=channel)
-        device_name = profile.name
+            scenario.device, architecture, controller=scenario.controller,
+            contention=scenario.contention)
+        device_name = scenario.device.name
     else:
         if controller is not None \
-                and resolve_controller(controller) != simulator.controller:
+                and scenario.controller != simulator.controller:
             raise ConfigurationError(
-                f"controller {resolve_controller(controller).label!r} "
+                f"controller {scenario.controller.label!r} "
                 f"disagrees with the pre-built simulator's "
                 f"{simulator.controller.label!r}")
         if contention is not None \
-                and resolve_contention(contention) != simulator.contention:
+                and scenario.contention != simulator.contention:
             raise ConfigurationError(
-                f"contention {resolve_contention(contention).label!r} "
+                f"contention {scenario.contention.label!r} "
                 f"disagrees with the pre-built simulator's "
                 f"{simulator.contention.label!r}")
-        config = simulator.controller
-        channel = simulator.contention
+        scenario = Scenario(scenario.device, simulator.controller,
+                            simulator.contention)
         device_name = device.name if device is not None else "custom"
     if model != "simulator":
         from .kernel import KernelCharacterizer, kernel_ineligibility
-        reason = kernel_ineligibility(
-            config, channel, simulator.refresh_enabled)
+        reason = kernel_ineligibility(scenario, simulator.refresh_enabled)
         if reason is None:
             engine = KernelCharacterizer(
                 simulator.organization,
                 simulator.timings,
                 simulator.energy_model,
+                scenario,
                 include_background=simulator.include_background_energy,
                 device_name=device_name,
                 short_count=short_count,
                 long_count=long_count,
-                controller=config,
-                contention=channel,
             )
             return engine.characterize(architecture)
         if model == "kernel":
@@ -377,15 +371,15 @@ def characterize(
         write_energy_nj=miss_write_nj,
     )
     requestor_stats: Tuple[RequestorStats, ...] = ()
-    if channel.requestors > 1:
+    if scenario.contention.requestors > 1:
         requestor_stats = per_requestor_stats(steady_state)
     return CharacterizationResult(
         architecture=architecture,
         costs=costs,
         tck_ns=simulator.timings.tck_ns,
         device_name=device_name,
-        controller=config,
-        contention=channel,
+        controller=scenario.controller,
+        contention=scenario.contention,
         requestor_stats=requestor_stats,
     )
 
@@ -396,15 +390,10 @@ class CharacterizationCache:
     Characterizing one architecture runs eight micro-experiment streams
     plus two isolated requests on the cycle-level simulator — tens of
     milliseconds each, which dominates small sweeps when repeated per
-    design point.  This cache keys results on the triple
-    ``(profile, architecture, controller)`` — a :class:`DeviceProfile`
-    captures geometry, timings and currents, so two devices sharing a
-    geometry but differing in speed grade or IDD currents can never
-    collide, and a :class:`ControllerConfig` captures the scheduler
-    and row policy, so policy variants can never be served the default
-    controller's costs — and evicts least-recently-used entries beyond
-    ``maxsize``.  Both
-    read and write costs are measured in one pass, so the request kind
+    design point.  This cache keys results on ``(scenario,
+    architecture)`` (see :class:`~repro.dram.scenario.Scenario`) and
+    evicts least-recently-used entries beyond ``maxsize``.  Both read
+    and write costs are measured in one pass, so the request kind
     needs no key component.  Hits and misses are additionally counted
     per device name (:meth:`device_stats`).
 
@@ -492,35 +481,26 @@ class CharacterizationCache:
         device's capability set must include ``architecture``.
         ``controller`` selects the memory-controller configuration
         (default: FCFS/open-row) and ``contention`` the channel
-        contention (default: one uncontended requestor); both are part
-        of the cache key — a ``(profile, architecture)`` key would
-        silently serve one configuration's costs to another.  Results
-        are computed on first use and served from the cache — as the
+        contention (default: one uncontended requestor).  Results are
+        computed on first use and served from the cache — as the
         *same object* — afterwards.
 
         ``model`` selects the backend on a miss (see
-        :func:`characterize`).  It is deliberately **not** part of
-        the cache key or the store's spec hash: kernel and simulator
-        results are exactly equal wherever both apply, so a
-        kernel-produced entry is a valid hit for a simulator request
-        and vice versa.
+        :func:`characterize`); it is not part of the key.
         """
-        profile = resolve_device(device, organization)
-        profile.require_architecture(architecture)
-        config = resolve_controller(controller)
-        channel = resolve_contention(contention)
-        return self._get(profile, architecture, config, channel, model)
+        scenario = Scenario.of(device, organization, controller,
+                               contention)
+        scenario.device.require_architecture(architecture)
+        return self._get(scenario, architecture, model)
 
     def _get(
         self,
-        profile: DeviceProfile,
+        scenario: Scenario,
         architecture: DRAMArchitecture,
-        config: ControllerConfig,
-        channel: ContentionConfig,
         model: str,
         precomputed: Optional[CharacterizationResult] = None,
     ) -> CharacterizationResult:
-        """Resolved-parameter lookup; ``precomputed`` skips computing.
+        """Resolved-scenario lookup; ``precomputed`` skips computing.
 
         ``precomputed`` is a result the caller already obtained for
         this exact key (a batch kernel pass or an early store load);
@@ -532,21 +512,20 @@ class CharacterizationCache:
             if precomputed is not None:
                 return precomputed
             if self.store is not None:
-                stored = self.store.load(
-                    profile, architecture, config, channel)
+                stored = self.store.load(scenario, architecture)
                 if stored is not None:
                     return stored
             result = characterize(
-                architecture, device=profile, controller=config,
-                contention=channel, model=model)
+                architecture, device=scenario.device,
+                controller=scenario.controller,
+                contention=scenario.contention, model=model)
             if self.store is not None:
-                self.store.save(
-                    result, profile, architecture, config, channel)
+                self.store.save(result, scenario, architecture)
             return result
 
         result, hit = self._memo.get_or_compute_flagged(
-            (profile, architecture, config, channel), compute)
-        counters = self._per_device.setdefault(profile.name, [0, 0])
+            (scenario, architecture), compute)
+        counters = self._per_device.setdefault(scenario.device.name, [0, 0])
         counters[0 if hit else 1] += 1
         return result
 
@@ -570,20 +549,18 @@ class CharacterizationCache:
         the architecture-invariant micro-experiment runs instead of
         paying per-architecture setup.
         """
-        profile = resolve_device(device, organization)
-        config = resolve_controller(controller)
-        channel = resolve_contention(contention)
+        scenario = Scenario.of(device, organization, controller,
+                               contention)
         architectures = tuple(architectures)
         for architecture in architectures:
-            profile.require_architecture(architecture)
+            scenario.device.require_architecture(architecture)
         precomputed: Dict[DRAMArchitecture, CharacterizationResult] = {}
         if model != "simulator":
-            from .kernel import characterize_batch, kernel_supported
+            from .kernel import characterize_batch, kernel_ineligibility
             need = [
                 architecture for architecture in architectures
-                if self._memo.peek(
-                    (profile, architecture, config, channel)) is None
-            ] if kernel_supported(config, channel) else []
+                if self._memo.peek((scenario, architecture)) is None
+            ] if kernel_ineligibility(scenario) is None else []
             # Only worth (and only safe to) front-run the per-key miss
             # path when at least two keys would otherwise compute:
             # once the store pass runs here, every remaining miss must
@@ -593,27 +570,21 @@ class CharacterizationCache:
                 if self.store is not None:
                     still = []
                     for architecture in need:
-                        stored = self.store.load(
-                            profile, architecture, config, channel)
+                        stored = self.store.load(scenario, architecture)
                         if stored is not None:
                             precomputed[architecture] = stored
                         else:
                             still.append(architecture)
                     need = still
                 if need:
-                    batch = characterize_batch(
-                        [(profile, architecture, config, channel)
-                         for architecture in need])
-                    for architecture in need:
-                        result = batch[
-                            (profile, architecture, config, channel)]
-                        precomputed[architecture] = result
-                        if self.store is not None:
-                            self.store.save(result, profile,
-                                            architecture, config, channel)
+                    batch = characterize_batch(scenario, need)
+                    precomputed.update(batch)
+                    if self.store is not None:
+                        for architecture, result in batch.items():
+                            self.store.save(result, scenario, architecture)
         return {
             architecture: self._get(
-                profile, architecture, config, channel, model,
+                scenario, architecture, model,
                 precomputed=precomputed.get(architecture))
             for architecture in architectures
         }
@@ -636,42 +607,15 @@ def characterize_cached(
 ) -> CharacterizationResult:
     """Characterize through the process-wide LRU cache.
 
-    Like :func:`characterize` but keyed on ``(profile, architecture,
-    controller, contention)`` so repeated requests — e.g. one per
+    Like :func:`characterize`, but repeated requests — e.g. one per
     design point of a sweep — hit the simulator only once per
-    configuration.  ``model`` selects the backend on a miss; it is
-    not part of the key (kernel and simulator results are exactly
+    scenario.  ``model`` selects the backend on a miss; it is not part
+    of the key (kernel and simulator results are exactly
     interchangeable).
     """
     return DEFAULT_CHARACTERIZATION_CACHE.get(
         architecture, organization, device=device, controller=controller,
         contention=contention, model=model)
-
-
-def characterize_analytical(
-    architecture: DRAMArchitecture,
-    organization: Optional[DRAMOrganization] = None,
-    device: Optional[DeviceProfile] = None,
-    controller: Optional[ControllerConfig] = None,
-) -> CharacterizationResult:
-    """Closed-form characterization (no simulation).
-
-    A drop-in sibling of :func:`characterize_cached` backed by the
-    analytical model of :mod:`repro.dram.analytical`: the returned
-    :class:`CharacterizationResult` has the exact same per-condition
-    shape, so every downstream consumer (``run_cost``, ``layer_edp``,
-    the DSE engine) is model-agnostic.  Used by the ``funnel`` search
-    strategy's pruning phase.
-
-    The closed-form model is contention-blind: it always scores the
-    uncontended channel, so funnel pruning ranks by uncontended cost
-    and the exact verification phase applies the contended simulation.
-    """
-    from .analytical import analytical_characterization
-
-    return analytical_characterization(
-        architecture, device=device, organization=organization,
-        controller=controller)
 
 
 def characterize_device(

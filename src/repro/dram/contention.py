@@ -26,13 +26,11 @@ controller policies of :mod:`repro.dram.policies`:
   split across requestors (``interleave``: request *i* goes to
   requestor ``i mod N``; ``block``: contiguous even chunks).
 
-The frozen :class:`ContentionConfig` value is hashable and picklable:
-it travels in characterization cache keys and the on-disk store's spec
-hash, and in the pickled :class:`repro.core.engine.ExplorationContext`,
-so contended variants can never be served an uncontended
-characterization (or vice versa).  ``requestors=1`` is canonicalized to
-the default config — an uncontended channel has no arbitration, so all
-N=1 configs are behaviourally (and cache-key) identical.
+The frozen :class:`ContentionConfig` value is hashable and picklable,
+so it can be part of a :class:`repro.dram.scenario.Scenario`.
+``requestors=1`` is canonicalized to the default config — an
+uncontended channel has no arbitration, so all N=1 configs are
+behaviourally (and cache-key) identical.
 
 Example
 -------
@@ -371,7 +369,8 @@ def resolve_contention(config=None) -> ContentionConfig:
     if not isinstance(config, ContentionConfig):
         raise ConfigurationError(
             f"contention must be a ContentionConfig or None, got "
-            f"{config!r}")
+            f"{config!r}; build one with contention_config(requestors, "
+            f"arbiter), arbiters: {', '.join(arbiter_names())}")
     return config
 
 

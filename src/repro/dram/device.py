@@ -161,9 +161,8 @@ class DeviceProfile:
                           ) -> "DeviceProfile":
         """A copy of this profile on a different geometry.
 
-        Used by sensitivity sweeps (e.g. varying subarrays per bank) so
-        the characterization cache can keep keying on
-        ``(profile, architecture)`` for ad-hoc geometries too.
+        Used by sensitivity sweeps (e.g. varying subarrays per bank);
+        the copy is a distinct characterization key.
         """
         if organization == self.organization:
             return self

@@ -2,8 +2,8 @@
 
 The Fig.-1 characterization (:mod:`repro.dram.characterize`) walks the
 object simulator one Python ``Request``/``Command`` object at a time —
-tens of milliseconds per (device, architecture) triple, which every
-DSE, sweep and funnel verify ultimately bottoms out in.  This module
+tens of milliseconds per architecture and scenario, which every DSE,
+sweep and funnel verify ultimately bottoms out in.  This module
 re-expresses the same micro-experiments as a batch kernel:
 
 * **Synthesis** — the eight micro-experiment streams (``_STREAMS`` ×
@@ -27,8 +27,8 @@ re-expresses the same micro-experiments as a batch kernel:
   bit-for-bit by ``tests/dram/test_kernel_differential.py``.
 * **Amortization** — :class:`KernelCharacterizer` shares synthesis,
   classification and whole micro-experiment runs across the
-  architectures of one device profile, and
-  :func:`characterize_batch` amortizes that over a grid slice.  Runs
+  architectures of one scenario, which is what
+  :func:`characterize_batch` exposes.  Runs
   are shared only under *checkable* invariances: a stream touching a
   single subarray index exercises none of the SALP/MASA behaviour
   flags (every precharge victim is the activation target, so the
@@ -50,11 +50,8 @@ requirement (or ``None``), so callers can raise or fall back with a
 useful message.
 
 Results are plain :class:`~repro.dram.characterize.CharacterizationResult`
-objects, indistinguishable from simulator-produced ones: cache keys
-and the on-disk spec hash carry **no backend marker** — a
-kernel-produced entry is a valid cache hit for a simulator request and
-vice versa, which is only sound because of the exact-equality
-contract.
+objects, indistinguishable from simulator-produced ones, which is what
+lets the scenario key carry no backend marker.
 """
 
 from __future__ import annotations
@@ -67,14 +64,9 @@ from ..errors import ConfigurationError
 from .architecture import ArchitectureBehavior, DRAMArchitecture, behavior_of
 from .bank import NEVER
 from .commands import RequestKind
-from .contention import ContentionConfig, resolve_contention
-from .device import DeviceProfile, resolve_device
-from .policies import (
-    DEFAULT_CONTROLLER_CONFIG,
-    ControllerConfig,
-    resolve_controller,
-)
+from .policies import DEFAULT_CONTROLLER_CONFIG
 from .power import EnergyModel
+from .scenario import Scenario
 from .spec import DRAMOrganization
 from .timing import TimingParameters
 
@@ -196,19 +188,16 @@ def classify_stream(stream: np.ndarray) -> Tuple[np.ndarray, ...]:
 # Eligibility
 # ----------------------------------------------------------------------
 
-def kernel_ineligibility(
-    controller: Optional[ControllerConfig] = None,
-    contention: Optional[ContentionConfig] = None,
-    refresh_enabled: bool = False,
-) -> Optional[str]:
-    """Why the kernel cannot serve this configuration, or ``None``.
+def kernel_ineligibility(scenario: Scenario,
+                         refresh_enabled: bool = False) -> Optional[str]:
+    """Why the kernel cannot serve this scenario, or ``None``.
 
     The kernel models the paper's characterization configuration
     exactly and nothing else: default FCFS/open-row controller, one
     uncontended requestor, refresh off.
     """
-    config = resolve_controller(controller)
-    channel = resolve_contention(contention)
+    config = scenario.controller
+    channel = scenario.contention
     if config != DEFAULT_CONTROLLER_CONFIG:
         return (f"controller {config.label!r} (the kernel models the "
                 f"default {DEFAULT_CONTROLLER_CONFIG.label!r} controller "
@@ -219,16 +208,6 @@ def kernel_ineligibility(
     if refresh_enabled:
         return "refresh enabled (the kernel never issues REF commands)"
     return None
-
-
-def kernel_supported(
-    controller: Optional[ControllerConfig] = None,
-    contention: Optional[ContentionConfig] = None,
-    refresh_enabled: bool = False,
-) -> bool:
-    """True when the kernel reproduces this configuration bit-for-bit."""
-    return kernel_ineligibility(controller, contention,
-                                refresh_enabled) is None
 
 
 # ----------------------------------------------------------------------
@@ -629,10 +608,9 @@ class KernelCharacterizer:
     every architecture it characterizes — the setup-amortization that
     makes :func:`characterize_batch` cheaper than per-triple calls.
 
-    The configuration must be kernel-eligible
-    (:func:`kernel_ineligibility`); ``controller`` / ``contention``
-    are accepted only to label the result, exactly as the simulator
-    path does.
+    ``scenario`` must be kernel-eligible (:func:`kernel_ineligibility`);
+    its controller and contention only label the result, exactly as
+    the simulator path does.
     """
 
     def __init__(
@@ -640,14 +618,13 @@ class KernelCharacterizer:
         organization: DRAMOrganization,
         timings: TimingParameters,
         energy_model: EnergyModel,
+        scenario: Scenario,
         include_background: bool = True,
         device_name: str = "custom",
         short_count: int = 64,
         long_count: int = 320,
-        controller: Optional[ControllerConfig] = None,
-        contention: Optional[ContentionConfig] = None,
     ) -> None:
-        reason = kernel_ineligibility(controller, contention)
+        reason = kernel_ineligibility(scenario)
         if reason is not None:
             raise ConfigurationError(
                 f"kernel characterization cannot model {reason}")
@@ -658,8 +635,7 @@ class KernelCharacterizer:
         self.device_name = device_name
         self.short_count = short_count
         self.long_count = long_count
-        self.controller = resolve_controller(controller)
-        self.contention = resolve_contention(contention)
+        self.scenario = scenario
         self._pre_nj = energy_model.precharge_nj()
         self._act0_nj = energy_model.activation_nj(0)
         self._col_nj = {
@@ -670,19 +646,6 @@ class KernelCharacterizer:
         self._classified: Dict[AccessCondition, tuple] = {}
         self._runs: Dict[tuple, tuple] = {}
         self._results: Dict[DRAMArchitecture, CharacterizationResult] = {}
-
-    @classmethod
-    def from_profile(cls, profile: DeviceProfile,
-                     **kwargs) -> "KernelCharacterizer":
-        """Build a characterizer for a registered device profile."""
-        kwargs.setdefault("device_name", profile.name)
-        return cls(
-            profile.organization,
-            profile.timings,
-            EnergyModel(profile.organization, profile.timings,
-                        profile.currents),
-            **kwargs,
-        )
 
     # -- shared synthesis --------------------------------------------
 
@@ -873,8 +836,8 @@ class KernelCharacterizer:
             costs=costs,
             tck_ns=self.timings.tck_ns,
             device_name=self.device_name,
-            controller=self.controller,
-            contention=self.contention,
+            controller=self.scenario.controller,
+            contention=self.scenario.contention,
             requestor_stats=(),
         )
         self._results[architecture] = result
@@ -882,64 +845,32 @@ class KernelCharacterizer:
 
 
 # ----------------------------------------------------------------------
-# Grid-slice batching
+# Batching
 # ----------------------------------------------------------------------
 
-def _normalize_item(item) -> tuple:
-    """(profile, architecture, controller, contention) of a batch item."""
-    parts = tuple(item) + (None, None)
-    device, architecture, controller, contention = parts[:4]
-    if isinstance(device, str):
-        from .device import get_device
-        device = get_device(device)
-    profile = resolve_device(device)
-    profile.require_architecture(architecture)
-    return (profile, architecture, resolve_controller(controller),
-            resolve_contention(contention))
-
-
 def characterize_batch(
-    items: Iterable,
+    scenario: Scenario,
+    architectures: Iterable[DRAMArchitecture],
     short_count: int = 64,
     long_count: int = 320,
-) -> Dict[tuple, CharacterizationResult]:
-    """Characterize a grid slice in one amortized kernel pass.
+) -> Dict[DRAMArchitecture, CharacterizationResult]:
+    """Characterize several architectures in one amortized kernel pass.
 
-    ``items`` yields ``(device, architecture)`` pairs — optionally
-    extended to ``(device, architecture, controller, contention)`` —
-    where ``device`` is a :class:`DeviceProfile`, a registry name or
-    ``None`` for the Table-II default.  Items sharing a device profile
-    share one :class:`KernelCharacterizer` (one synthesis, one
-    classification, shared micro-experiment runs), which is where the
-    batch's speedup over per-triple calls comes from.  Items that are
-    not kernel-eligible are routed to the object simulator, so a mixed
-    grid slice stays a single call.
-
-    Returns ``{(profile, architecture, controller, contention):
-    CharacterizationResult}`` covering every distinct normalized item.
+    The architectures share one :class:`KernelCharacterizer` (one
+    synthesis, one classification, shared micro-experiment runs),
+    which is where the batch's speedup over per-architecture calls
+    comes from.  ``scenario`` must be kernel-eligible; an ineligible
+    one raises :class:`ConfigurationError`.
     """
-    results: Dict[tuple, CharacterizationResult] = {}
-    characterizers: Dict[tuple, KernelCharacterizer] = {}
-    for item in items:
-        key = _normalize_item(item)
-        if key in results:
-            continue
-        profile, architecture, config, channel = key
-        if kernel_ineligibility(config, channel) is None:
-            engine_key = (profile, config, channel)
-            engine = characterizers.get(engine_key)
-            if engine is None:
-                engine = characterizers[engine_key] = \
-                    KernelCharacterizer.from_profile(
-                        profile, short_count=short_count,
-                        long_count=long_count,
-                        controller=config, contention=channel)
-            results[key] = engine.characterize(architecture)
-        else:
-            from .characterize import characterize
-            results[key] = characterize(
-                architecture, short_count=short_count,
-                long_count=long_count, device=profile,
-                controller=config, contention=channel,
-                model="simulator")
+    profile = scenario.device
+    engine = KernelCharacterizer(
+        profile.organization, profile.timings,
+        EnergyModel(profile.organization, profile.timings,
+                    profile.currents),
+        scenario, device_name=profile.name,
+        short_count=short_count, long_count=long_count)
+    results: Dict[DRAMArchitecture, CharacterizationResult] = {}
+    for architecture in architectures:
+        profile.require_architecture(architecture)
+        results[architecture] = engine.characterize(architecture)
     return results

@@ -32,11 +32,8 @@ behaviours of :mod:`repro.dram.architecture` unchanged: the policies
 decide *what* to do, the architecture flags decide *how fast* the
 resulting command sequence may run.
 
-The frozen :class:`ControllerConfig` value is hashable and picklable:
-it travels in characterization cache keys (``(profile, architecture,
-controller)``) and in the pickled
-:class:`repro.core.engine.ExplorationContext`, so policy variants can
-never be served a stale default-config characterization.
+The frozen :class:`ControllerConfig` value is hashable and picklable,
+so it can be part of a :class:`repro.dram.scenario.Scenario`.
 
 Example
 -------
@@ -359,7 +356,9 @@ def resolve_controller(config=None) -> ControllerConfig:
     if not isinstance(config, ControllerConfig):
         raise ConfigurationError(
             f"controller must be a ControllerConfig or None, got "
-            f"{config!r}")
+            f"{config!r}; build one with controller_config(scheduler, "
+            f"row_policy), schedulers: {', '.join(scheduler_names())}; "
+            f"row policies: {', '.join(row_policy_names())}")
     return config
 
 

@@ -62,8 +62,8 @@ def organization_for(
     behaviour flags (see module docstring) — but a device may not model
     every architecture, so the capability set is enforced here.
     """
-    from .device import resolve_device
+    from .scenario import Scenario
 
-    profile = resolve_device(device)
+    profile = Scenario.of(device).device
     profile.require_architecture(architecture)
     return profile.organization

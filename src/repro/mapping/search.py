@@ -25,7 +25,8 @@ from ..dram.characterize import (
     characterize_cached,
 )
 from ..dram.commands import RequestKind
-from ..dram.device import DeviceProfile, resolve_device
+from ..dram.device import DeviceProfile
+from ..dram.scenario import Scenario
 from ..dram.spec import DRAMOrganization
 from .counts import count_transitions
 from .dims import Dim, INTRA_CHIP_DIMS
@@ -88,16 +89,16 @@ COST_MODELS = ("simulator", "analytical")
 
 def _characterization_for(
     architecture: DRAMArchitecture,
-    profile: DeviceProfile,
+    scenario: Scenario,
     model: str,
 ) -> CharacterizationResult:
     """Per-condition costs from the selected cost-model backend."""
     if model == "simulator":
-        return characterize_cached(architecture, device=profile)
+        return characterize_cached(architecture, device=scenario.device)
     if model == "analytical":
         from ..dram.analytical import analytical_characterization
 
-        return analytical_characterization(architecture, device=profile)
+        return analytical_characterization(scenario, architecture)
     from ..errors import ConfigurationError
 
     raise ConfigurationError(
@@ -139,11 +140,11 @@ def score_policy(
     """
     from ..core.conditions import run_cost
 
-    profile = resolve_device(device, organization)
-    organization = profile.organization
+    scenario = Scenario.of(device, organization)
+    organization = scenario.device.organization
     if characterization is None:
         characterization = _characterization_for(
-            architecture, profile, model)
+            architecture, scenario, model)
     counts = count_transitions(policy, organization, n_accesses)
     cost = run_cost(counts, characterization, kind)
     return ScoredPolicy(
@@ -167,12 +168,12 @@ def rank_policies(
     """
     if policies is None:
         policies = candidate_policies("all")
-    profile = resolve_device(device, organization)
-    characterization = _characterization_for(architecture, profile, model)
+    scenario = Scenario.of(device, organization)
+    characterization = _characterization_for(architecture, scenario, model)
     scored = [
         score_policy(policy, n_accesses, architecture,
                      characterization=characterization,
-                     device=profile)
+                     device=scenario.device)
         for policy in policies
     ]
     return sorted(scored, key=lambda s: s.edp_score)

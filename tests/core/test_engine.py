@@ -21,6 +21,7 @@ from repro.core.pareto import (
 )
 from repro.dram.architecture import DRAMArchitecture
 from repro.dram.characterize import CharacterizationCache
+from repro.dram.scenario import Scenario
 from repro.errors import DseError
 from repro.mapping.catalog import DRMAP, TABLE1_MAPPINGS
 from repro.workloads import get_workload
@@ -351,6 +352,16 @@ class TestControllerThreading:
             controller=controller_config(row_policy="closed"))
         assert default.best().edp_js != closed.best().edp_js
 
+    def test_controller_name_string_is_rejected_with_a_hint(
+            self, tiny_layer):
+        from repro.errors import ConfigurationError
+
+        with pytest.raises(
+                ConfigurationError,
+                match=r"controller_config\(.*fcfs, fr-fcfs"):
+            ExplorationEngine().explore_network(
+                [tiny_layer], controller="fr-fcfs")
+
     def test_parallel_workers_reconstruct_the_controller(self, tiny_layer):
         from repro.dram.policies import controller_config
 
@@ -372,10 +383,10 @@ class TestControllerThreading:
         config = controller_config("fr-fcfs")
         context = _build_context(
             [tiny_layer], (DRAMArchitecture.DDR3,), ALL_SCHEMES,
-            TABLE1_MAPPINGS, TABLE2_BUFFERS, None, None,
-            CharacterizationCache(), controller=config)
+            TABLE1_MAPPINGS, TABLE2_BUFFERS, None,
+            CharacterizationCache(), Scenario.of(controller=config))
         clone = pickle.loads(pickle.dumps(context))
-        assert clone.controller == config
+        assert clone.scenario.controller == config
         assert clone.characterizations[
             DRAMArchitecture.DDR3].controller == config
 

@@ -28,6 +28,7 @@ from repro.core.eval_kernel import (
 from repro.core.strategies import analytical_scores
 from repro.dram.characterize import DEFAULT_CHARACTERIZATION_CACHE
 from repro.dram.device import get_device
+from repro.dram.scenario import Scenario
 from repro.errors import CapacityError, DseError
 from repro.mapping.catalog import TABLE1_MAPPINGS
 from repro.mapping.counts import count_transitions, count_transitions_batch
@@ -154,7 +155,7 @@ class TestFunnelAndScores:
     def _context(self, layers):
         return _build_context(
             layers, None, ALL_SCHEMES, TABLE1_MAPPINGS, TABLE2_BUFFERS,
-            None, None, DEFAULT_CHARACTERIZATION_CACHE)
+            None, DEFAULT_CHARACTERIZATION_CACHE, Scenario.of())
 
     def test_batch_scores_bit_equal(self, conv1):
         context = self._context(conv1)
@@ -196,14 +197,16 @@ class TestEvalModelKnob:
         sentinel = object()
         context = _build_context(
             [tiny_layer], None, ALL_SCHEMES, TABLE1_MAPPINGS,
-            TABLE2_BUFFERS, None, None, DEFAULT_CHARACTERIZATION_CACHE)
+            TABLE2_BUFFERS, None, DEFAULT_CHARACTERIZATION_CACHE,
+        Scenario.of())
         assert make_chunk_evaluator(
             context, EvaluationCache(), "scalar", sentinel) is sentinel
 
     def test_layer_segments_respect_boundaries(self, conv1, tiny_layer):
         context = _build_context(
             conv1 + [tiny_layer], None, ALL_SCHEMES, TABLE1_MAPPINGS,
-            TABLE2_BUFFERS, None, None, DEFAULT_CHARACTERIZATION_CACHE)
+            TABLE2_BUFFERS, None, DEFAULT_CHARACTERIZATION_CACHE,
+        Scenario.of())
         segments = list(iter_layer_segments(
             context, 0, context.total_points))
         assert [start for _, start, _ in segments] \
@@ -219,7 +222,8 @@ class TestEvalModelKnob:
         engine = ExplorationEngine(jobs=1, chunk_size=7)
         context = _build_context(
             conv1 + [tiny_layer], None, ALL_SCHEMES, TABLE1_MAPPINGS,
-            TABLE2_BUFFERS, None, None, DEFAULT_CHARACTERIZATION_CACHE)
+            TABLE2_BUFFERS, None, DEFAULT_CHARACTERIZATION_CACHE,
+        Scenario.of())
         chunks = list(engine._chunks(context))
         # Gapless, in-order cover of the grid ...
         assert chunks[0][0] == 0

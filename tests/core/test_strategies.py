@@ -26,6 +26,10 @@ from repro.core.strategies import (
     strategy_summaries,
 )
 from repro.dram.architecture import DRAMArchitecture
+from repro.dram.contention import contention_config
+from repro.dram.device import get_device
+from repro.dram.policies import controller_config
+from repro.dram.scenario import Scenario
 from repro.errors import ConfigurationError
 from repro.workloads import get_workload
 
@@ -124,8 +128,7 @@ class TestExhaustiveByteIdentity:
         engine = ExplorationEngine(strategy="random", seed=11)
         _search, run, _iter = engine._start(
             [tiny_layer], None, ALL_SCHEMES, TABLE1_MAPPINGS,
-            TABLE2_BUFFERS, None, None, None, None, None, None, None,
-            None)
+            TABLE2_BUFFERS, None, Scenario.of(), None, None, None)
         assert (run.strategy, run.seed) == ("random", 11)
 
     def test_context_dataclass_carries_provenance(self, tiny_layer):
@@ -138,7 +141,7 @@ class TestExhaustiveByteIdentity:
 
         context = _build_context(
             [tiny_layer], (DDR3,), ALL_SCHEMES, TABLE1_MAPPINGS,
-            TABLE2_BUFFERS, None, None, CharacterizationCache(),
+            TABLE2_BUFFERS, None, CharacterizationCache(), Scenario.of(),
             strategy="funnel", seed=5)
         clone = pickle.loads(pickle.dumps(context))
         assert (clone.strategy, clone.seed) == ("funnel", 5)
@@ -151,7 +154,7 @@ class TestExhaustiveByteIdentity:
 
         context = _build_context(
             [tiny_layer], None, ALL_SCHEMES, TABLE1_MAPPINGS,
-            TABLE2_BUFFERS, None, None, CharacterizationCache())
+            TABLE2_BUFFERS, None, CharacterizationCache(), Scenario.of())
         for index in range(context.total_points):
             layer, arch, scheme, policy, tiling = context.decode(index)
             encoded = context.encode(
@@ -237,7 +240,7 @@ class TestFunnel:
 
         context = _build_context(
             [tiny_layer], None, ALL_SCHEMES, TABLE1_MAPPINGS,
-            TABLE2_BUFFERS, None, None, CharacterizationCache())
+            TABLE2_BUFFERS, None, CharacterizationCache(), Scenario.of())
         scores = analytical_scores(context, EvaluationCache())
         assert len(scores) == context.total_points
         assert all(score > 0 for score in scores)
@@ -366,3 +369,45 @@ class TestResultMerging:
             tiny_layer, strategy="random")
         funnel.extend(random_result)
         assert funnel.strategy == "mixed"
+
+
+#: Scenarios the funnel is pinned on (name -> Scenario.of keywords).
+FUNNEL_SCENARIOS = {
+    "default": {},
+    "fr-fcfs": {"controller": controller_config("fr-fcfs")},
+    "closed": {"controller": controller_config(row_policy="closed")},
+    "timeout": {"controller": controller_config(row_policy="timeout")},
+    "2req-round-robin": {"contention": contention_config(2)},
+    "4req-age-based": {"contention": contention_config(4, "age-based")},
+}
+
+
+class TestFunnelAcrossScenarios:
+    """The funnel prunes with the uncontended closed form but verifies
+    on the exact scenario; its per-layer optimum must still be the
+    exhaustive one under every controller and contention setting."""
+
+    @pytest.fixture(scope="class")
+    def layers(self):
+        return get_workload("alexnet").lower()
+
+    @pytest.mark.parametrize("scenario", list(FUNNEL_SCENARIOS))
+    @pytest.mark.parametrize(
+        "device", ["ddr3-1600-2gb-x8", "hbm2", "lpddr4-3200"])
+    def test_per_layer_min_edp_matches_exhaustive(
+            self, layers, device, scenario):
+        keywords = dict(FUNNEL_SCENARIOS[scenario],
+                        device=get_device(device))
+        engine = ExplorationEngine()
+
+        def per_layer_min(strategy):
+            result = engine.explore_network(
+                layers, strategy=strategy, **keywords)
+            best = {}
+            for point in result.points:
+                edp = best.get(point.layer_name)
+                if edp is None or point.edp_js < edp:
+                    best[point.layer_name] = point.edp_js
+            return best
+
+        assert per_layer_min("funnel") == per_layer_min("exhaustive")

@@ -27,13 +27,10 @@ from repro.dram.analytical import (
     compare_to_simulator,
 )
 from repro.dram.architecture import DRAMArchitecture
-from repro.dram.characterize import (
-    ALL_CONDITIONS,
-    characterize_analytical,
-    characterize_cached,
-)
+from repro.dram.characterize import ALL_CONDITIONS, characterize_cached
 from repro.dram.device import DEVICE_REGISTRY, default_device, get_device
 from repro.dram.policies import controller_config
+from repro.dram.scenario import Scenario
 from repro.errors import ConfigurationError
 from repro.mapping.catalog import TABLE1_MAPPINGS
 from repro.workloads import get_workload
@@ -113,20 +110,24 @@ class TestConditionErrorBounds:
     def test_result_shape_matches_simulated(self):
         """The analytical result is a drop-in CharacterizationResult."""
         exact = characterize_cached(DRAMArchitecture.DDR3)
-        model = characterize_analytical(DRAMArchitecture.DDR3)
+        model = analytical_characterization(
+            Scenario.of(), DRAMArchitecture.DDR3)
         assert set(model.costs) == set(exact.costs)
         assert model.tck_ns == exact.tck_ns
         assert model.device_name == exact.device_name
         assert model.architecture is exact.architecture
 
     def test_memoized(self):
-        first = analytical_characterization(DRAMArchitecture.SALP_1)
-        second = analytical_characterization(DRAMArchitecture.SALP_1)
+        first = analytical_characterization(
+            Scenario.of(), DRAMArchitecture.SALP_1)
+        second = analytical_characterization(
+            Scenario.of(), DRAMArchitecture.SALP_1)
         assert first is second
 
     def test_capability_set_enforced(self):
         with pytest.raises(ConfigurationError, match="does not support"):
-            AnalyticalModel(device=get_device("hbm2")).characterization(
+            AnalyticalModel(
+                Scenario.of(get_device("hbm2"))).characterization(
                 DRAMArchitecture.SALP_MASA)
 
 
@@ -147,8 +148,8 @@ class TestRankCorrelation:
         analytical_edps = []
         for architecture in device.supported_architectures:
             exact_char = characterize_cached(architecture, device=device)
-            model_char = characterize_analytical(
-                architecture, device=device)
+            model_char = analytical_characterization(
+                Scenario.of(device), architecture)
             for scheme in ALL_SCHEMES:
                 for policy in TABLE1_MAPPINGS:
                     for tiling in enumerate_tilings(layer):
@@ -168,7 +169,8 @@ class TestRankCorrelation:
         layer = get_workload("alexnet").lower()[1]
         architecture = DRAMArchitecture.DDR3
         exact_char = characterize_cached(architecture)
-        model_char = characterize_analytical(architecture)
+        model_char = analytical_characterization(
+            Scenario.of(), architecture)
 
         def argmin(characterization):
             best = None

@@ -104,7 +104,9 @@ class TestContentionConfig:
         assert resolve_contention(None) is DEFAULT_CONTENTION_CONFIG
         config = contention_config(requestors=2)
         assert resolve_contention(config) is config
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(
+                ConfigurationError,
+                match=r"contention_config\(.*round-robin"):
             resolve_contention("2req")
 
     def test_registry_listings_cover_every_kind(self):

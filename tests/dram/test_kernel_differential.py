@@ -25,9 +25,9 @@ from repro.dram.kernel import (
     KernelCharacterizer,
     characterize_batch,
     kernel_ineligibility,
-    kernel_supported,
 )
 from repro.dram.policies import controller_config
+from repro.dram.scenario import Scenario
 from repro.dram.simulator import DRAMSimulator
 from repro.dram.store import CharacterizationStore
 from repro.errors import ConfigurationError
@@ -121,35 +121,22 @@ class TestExactEquality:
 
 
 class TestBatch:
-    def test_batch_equals_per_triple_calls(self):
-        items = [
-            (device, architecture)
-            for device, architecture in ALL_TRIPLES
-        ]
-        batch = characterize_batch(items)
-        assert len(batch) == len(items)
-        for (profile, architecture, config, channel), result \
-                in batch.items():
+    @pytest.mark.parametrize(
+        "device", list(DEVICE_REGISTRY), ids=lambda d: d.name)
+    def test_batch_equals_per_architecture_calls(self, device):
+        architectures = device.supported_architectures
+        batch = characterize_batch(Scenario.of(device), architectures)
+        assert tuple(batch) == tuple(architectures)
+        for architecture, result in batch.items():
             single = characterize(
-                architecture, device=profile, controller=config,
-                contention=channel, model="kernel")
+                architecture, device=device, model="kernel")
             assert_exactly_equal(result, single)
 
-    def test_device_names_accepted(self):
-        batch = characterize_batch(
-            [("tiny", DRAMArchitecture.DDR3)])
-        (result,) = batch.values()
-        assert result.device_name == "tiny"
-
-    def test_ineligible_item_falls_back_to_the_simulator(self):
-        config = controller_config(scheduler="fr-fcfs")
-        batch = characterize_batch(
-            [(TINY_DEVICE, DRAMArchitecture.DDR3, config)])
-        (result,) = batch.values()
-        simulator = characterize(
-            DRAMArchitecture.DDR3, device=TINY_DEVICE,
-            controller=config, model="simulator")
-        assert_exactly_equal(result, simulator)
+    def test_ineligible_scenario_raises(self):
+        scenario = Scenario.of(
+            TINY_DEVICE, controller=controller_config(scheduler="fr-fcfs"))
+        with pytest.raises(ConfigurationError, match="kernel"):
+            characterize_batch(scenario, (DRAMArchitecture.DDR3,))
 
 
 class TestEligibility:
@@ -161,15 +148,16 @@ class TestEligibility:
         controller_config(row_policy="timeout", timeout_cycles=50),
     ], ids=["fr-fcfs", "closed", "timeout"])
     def test_non_default_controller_raises(self, config):
-        assert kernel_ineligibility(config) is not None
-        assert not kernel_supported(config)
+        assert kernel_ineligibility(
+            Scenario.of(controller=config)) is not None
         with pytest.raises(ConfigurationError, match="kernel"):
             characterize(DRAMArchitecture.DDR3, device=TINY_DEVICE,
                          controller=config, model="kernel")
 
     def test_contended_channel_raises(self):
         channel = contention_config(requestors=2)
-        assert kernel_ineligibility(contention=channel) is not None
+        assert kernel_ineligibility(
+            Scenario.of(contention=channel)) is not None
         with pytest.raises(ConfigurationError, match="kernel"):
             characterize(DRAMArchitecture.DDR3, device=TINY_DEVICE,
                          contention=channel, model="kernel")
@@ -178,7 +166,7 @@ class TestEligibility:
         simulator = DRAMSimulator.from_profile(
             TINY_DEVICE, DRAMArchitecture.DDR3, refresh_enabled=True)
         assert kernel_ineligibility(
-            refresh_enabled=True) is not None
+            Scenario.of(), refresh_enabled=True) is not None
         with pytest.raises(ConfigurationError, match="kernel"):
             characterize(DRAMArchitecture.DDR3, simulator=simulator,
                          device=TINY_DEVICE, model="kernel")
@@ -202,7 +190,9 @@ class TestEligibility:
             KernelCharacterizer(
                 TINY_DEVICE.organization, TINY_DEVICE.timings,
                 DRAMSimulator.from_profile(TINY_DEVICE).energy_model,
-                controller=controller_config(scheduler="fr-fcfs"))
+                scenario=Scenario.of(
+                    TINY_DEVICE,
+                    controller=controller_config(scheduler="fr-fcfs")))
 
 
 class TestCacheNoFork:

@@ -84,7 +84,10 @@ class TestControllerConfig:
         assert resolve_controller(None) is DEFAULT_CONTROLLER_CONFIG
         config = controller_config("fr-fcfs")
         assert resolve_controller(config) is config
-        with pytest.raises(ConfigurationError, match="ControllerConfig"):
+        with pytest.raises(
+                ConfigurationError,
+                match=r"controller_config\(.*fcfs, fr-fcfs.*"
+                      r"open, closed, timeout"):
             resolve_controller("fcfs")
 
 

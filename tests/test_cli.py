@@ -445,14 +445,6 @@ class TestControllerPolicies:
         assert code == 0
         assert "[fr-fcfs/open]" in out
 
-    def test_traffic_flags_do_not_change_bytes(self, capsys):
-        code, default = run_cli(capsys, "traffic", "--model", "lenet5")
-        assert code == 0
-        code, closed = run_cli(capsys, "traffic", "--model", "lenet5",
-                               "--row-policy", "closed")
-        assert code == 0
-        assert default == closed
-
     def test_unknown_scheduler_rejected(self):
         with pytest.raises(SystemExit):
             main(["dse", "--model", "lenet5", "--scheduler", "elevator"])
@@ -519,3 +511,13 @@ class TestChannelContention:
         code = main(["characterize", "--requestors", "0"])
         assert code == 2
         assert "requestors" in capsys.readouterr().err
+
+    def test_analytical_model_rejects_contention(self, capsys):
+        """The closed form is contention-blind: a contended title over
+        uncontended numbers would mislabel them."""
+        code = main(["characterize", "--model", "analytical",
+                     "--requestors", "2", "--arch", "DDR3"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--model auto" in err
+        assert "--model simulator" in err
