@@ -41,8 +41,9 @@ bench-contention:
 	$(PYTHON) -m pytest benchmarks/test_perf_contention.py -q
 
 ## vectorized-kernel speed gates (>=10x vs the object simulator on a
-## full ddr3-1600-2gb-x8 characterize, batch >=2x vs per-triple kernel
-## calls over the whole device registry), at exact result equality
+## full ddr3-1600-2gb-x8 characterize, one characterize_batch per
+## registered device >=2x vs per-triple kernel calls), at exact
+## result equality
 bench-kernel:
 	$(PYTHON) -m pytest benchmarks/test_perf_kernel.py -q
 

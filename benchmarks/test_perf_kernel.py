@@ -8,22 +8,26 @@ path that returns different numbers is a bug, not a speedup):
   simulator;
 * one :func:`repro.dram.kernel.characterize_batch` pass per device of
   the registry must be at least **2x** faster than the equivalent
-  per-triple ``characterize(model="kernel")`` calls — the batch shares
-  stream synthesis, classification and the architecture-invariant
-  micro-experiment walks across a device's architectures.
+  per-triple ``characterize`` calls (each a one-architecture kernel
+  batch) — the batch shares stream synthesis, classification and the
+  architecture-invariant micro-experiment walks across a device's
+  architectures.  Measured as the median of paired CPU-time ratios.
 
 Run via ``make bench-kernel``.
 """
 
 from __future__ import annotations
 
+import statistics
+
 from repro.core.report import format_table
-from repro.dram.characterize import characterize
+from repro.dram.characterize import characterize, simulate_characterization
 from repro.dram.device import DEVICE_REGISTRY, get_device
 from repro.dram.kernel import characterize_batch
 from repro.dram.scenario import Scenario
+from repro.dram.simulator import DRAMSimulator
 
-from ._timing import interleaved_best_of
+from ._timing import interleaved_best_of, paired_process_time_ratios
 
 
 def test_kernel_at_least_10x_faster_than_simulator():
@@ -33,15 +37,14 @@ def test_kernel_at_least_10x_faster_than_simulator():
 
     def simulator_path():
         return [
-            characterize(a, device=device, model="simulator")
+            simulate_characterization(
+                DRAMSimulator.from_profile(device, a), a,
+                device_name=device.name)
             for a in architectures
         ]
 
     def kernel_path():
-        return [
-            characterize(a, device=device, model="kernel")
-            for a in architectures
-        ]
+        return [characterize(a, device=device) for a in architectures]
 
     # Identical numbers first, then the stopwatch.
     for fast, slow in zip(kernel_path(), simulator_path()):
@@ -65,6 +68,16 @@ def test_kernel_at_least_10x_faster_than_simulator():
         f"{simulator_seconds:.4f}s (gate: 10x)")
 
 
+#: ABBA blocks (:func:`paired_process_time_ratios`) of the batch gate.
+BLOCKS = 15
+
+
+def repeat(path, times: int = 3):
+    """Run ``path`` ``times`` times: one timed sample of the batch gate."""
+    for _ in range(times):
+        path()
+
+
 def test_batch_at_least_2x_faster_than_per_triple_kernel():
     """Per-device batches vs one kernel call per (device, arch)."""
     items = [
@@ -84,7 +97,7 @@ def test_batch_at_least_2x_faster_than_per_triple_kernel():
 
     def per_triple_path():
         return [
-            characterize(architecture, device=device, model="kernel")
+            characterize(architecture, device=device)
             for device, architecture in items
         ]
 
@@ -94,21 +107,19 @@ def test_batch_at_least_2x_faster_than_per_triple_kernel():
     for result, expected in zip(batch, per_triple_path()):
         assert result == expected
 
-    per_triple_seconds, batch_seconds = interleaved_best_of(
-        5, per_triple_path, batch_path)
+    # Each sample repeats its path so it outlasts the machine's short
+    # speed swings, which a single ~30 ms pass is exposed to.
+    ratios = paired_process_time_ratios(
+        BLOCKS, lambda: repeat(batch_path), lambda: repeat(per_triple_path))
+    speedup = statistics.median(ratios)
 
-    speedup = per_triple_seconds / batch_seconds
     print()
     print(format_table(
-        ["path", "best of 5 [s]", "triples"],
-        [["per-triple kernel calls", f"{per_triple_seconds:.4f}",
-          str(len(items))],
-         ["characterize_batch per device", f"{batch_seconds:.4f}",
-          str(len(items))]],
-        title="Device-registry characterization "
-              "(every device x architecture)"))
-    print(f"batch speedup: {speedup:.2f}x")
-    assert batch_seconds * 2 < per_triple_seconds, (
-        f"batch {batch_seconds:.4f}s is only {speedup:.2f}x faster "
-        f"than per-triple kernel calls {per_triple_seconds:.4f}s "
-        f"(gate: 2x)")
+        ["ABBA blocks", "triples", "median speedup"],
+        [[str(BLOCKS), str(len(items)), f"{speedup:.2f}x"]],
+        title="Device-registry characterization (every device x "
+              "architecture): per-triple kernel calls / "
+              "characterize_batch per device, CPU time"))
+    assert speedup > 2, (
+        f"the median batch speedup over {BLOCKS} blocks is "
+        f"{speedup:.2f}x, under 2x")

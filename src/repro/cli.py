@@ -243,22 +243,11 @@ def cmd_characterize(args: argparse.Namespace) -> int:
     requested = _architecture(args.arch) if args.arch else None
     config = _controller(args)
     channel = _contention(args)
-    model = getattr(args, "model", "auto")
-    if model == "kernel":
-        from .dram.kernel import kernel_ineligibility
-
-        reason = kernel_ineligibility(
-            Scenario.of(controller=config, contention=channel))
-        if reason is not None:
-            print(f"warning: model 'kernel' cannot characterize "
-                  f"{reason}; falling back to the simulator",
-                  file=sys.stderr)
-            model = "simulator"
-    if model == "analytical" and not channel.is_default:
+    analytical = args.model == "analytical"
+    if analytical and not channel.is_default:
         raise ConfigurationError(
             f"model 'analytical' cannot characterize {channel.label} "
-            "(the closed form is contention-blind); use --model auto "
-            "or --model simulator")
+            "(the closed form is contention-blind); use --model auto")
     if args.device == "all":
         devices = list(DEVICE_REGISTRY)
         if requested is not None:
@@ -281,7 +270,7 @@ def cmd_characterize(args: argparse.Namespace) -> int:
             architectures = (requested,)
         else:
             architectures = device.supported_architectures
-        if model == "analytical":
+        if analytical:
             from .dram.analytical import analytical_characterization
 
             scenario = Scenario.of(device, controller=config)
@@ -293,7 +282,7 @@ def cmd_characterize(args: argparse.Namespace) -> int:
         else:
             results = characterize_device(
                 device, architectures, controller=config,
-                contention=channel, model=model)
+                contention=channel)
         for architecture in architectures:
             result = results[architecture]
             for name, cycles, read_nj, write_nj in result.rows():
@@ -649,11 +638,11 @@ def build_parser() -> argparse.ArgumentParser:
                              "ddr3-1600-2gb-x8)")
     p_char.add_argument(
         "--model", default="auto",
-        choices=("auto", "simulator", "analytical", "kernel"),
-        help="characterization backend: the cycle-level simulator, "
-             "the closed-form analytical model, the vectorized batch "
-             "kernel, or 'auto' (kernel when the configuration is "
-             "eligible, simulator otherwise; the default)")
+        choices=("auto", "analytical"),
+        help="characterization model: 'auto' measures exactly (the "
+             "vectorized kernel when the configuration is eligible, "
+             "the cycle-level simulator otherwise; the default), "
+             "'analytical' uses the closed-form model")
     add_controller_arguments(p_char)
     add_contention_arguments(p_char)
     add_cache_arguments(p_char)

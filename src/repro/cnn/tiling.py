@@ -135,13 +135,15 @@ def _candidate_steps(bound: int) -> List[int]:
 def enumerate_tilings(
     layer: ConvLayer,
     buffers: BufferConfig = TABLE2_BUFFERS,
-    only_maximal: bool = True,
-    limit: Optional[int] = None,
 ) -> List[TilingConfig]:
     """Candidate tilings for the DSE (Algorithm 1, step 1a).
 
     Step sizes are drawn from powers of two (plus the full extent) per
-    dimension and filtered by the buffer constraint.
+    dimension and filtered by the buffer constraint.  Only maximal
+    tilings are kept: no single step can be raised to the next
+    candidate without violating a buffer -- dominated tilings move
+    strictly less data per fetch at the same trip counts or worse, so
+    pruning them loses nothing.
 
     Parameters
     ----------
@@ -149,13 +151,6 @@ def enumerate_tilings(
         Layer to partition.
     buffers:
         On-chip buffer capacities.
-    only_maximal:
-        Keep only tilings where no single step can be raised to the
-        next candidate without violating a buffer -- dominated tilings
-        move strictly less data per fetch at the same trip counts or
-        worse, so pruning them loses nothing.
-    limit:
-        Optional hard cap on the number of returned tilings.
 
     Raises
     ------
@@ -182,32 +177,28 @@ def enumerate_tilings(
             f"{buffers.ofms_bytes} B); the layer's smallest tile is "
             "already too large")
 
-    if only_maximal:
-        def next_step(value: int, candidates: List[int]) -> Optional[int]:
-            larger = [c for c in candidates if c > value]
-            return min(larger) if larger else None
+    def next_step(value: int, candidates: List[int]) -> Optional[int]:
+        larger = [c for c in candidates if c > value]
+        return min(larger) if larger else None
 
-        maximal = []
-        for tiling in fitting:
-            grown_any = False
-            for field_name, candidates in (
-                    ("th", th_candidates), ("tw", tw_candidates),
-                    ("tj", tj_candidates), ("ti", ti_candidates)):
-                bigger = next_step(getattr(tiling, field_name), candidates)
-                if bigger is None:
-                    continue
-                grown = TilingConfig(**{
-                    **{"th": tiling.th, "tw": tiling.tw,
-                       "tj": tiling.tj, "ti": tiling.ti},
-                    field_name: bigger,
-                })
-                if grown.fits(layer, buffers):
-                    grown_any = True
-                    break
-            if not grown_any:
-                maximal.append(tiling)
-        fitting = maximal
+    maximal = []
+    for tiling in fitting:
+        grown_any = False
+        for field_name, candidates in (
+                ("th", th_candidates), ("tw", tw_candidates),
+                ("tj", tj_candidates), ("ti", ti_candidates)):
+            bigger = next_step(getattr(tiling, field_name), candidates)
+            if bigger is None:
+                continue
+            grown = TilingConfig(**{
+                **{"th": tiling.th, "tw": tiling.tw,
+                   "tj": tiling.tj, "ti": tiling.ti},
+                field_name: bigger,
+            })
+            if grown.fits(layer, buffers):
+                grown_any = True
+                break
+        if not grown_any:
+            maximal.append(tiling)
+    return maximal
 
-    if limit is not None:
-        fitting = fitting[:limit]
-    return fitting

@@ -110,7 +110,7 @@ from ..dram.device import DeviceProfile
 from ..dram.policies import ControllerConfig
 from ..dram.scenario import Scenario
 from ..dram.spec import DRAMOrganization
-from ..errors import DseError
+from ..errors import ConfigurationError, DseError
 from ..mapping.catalog import TABLE1_MAPPINGS
 from ..mapping.counts import TransitionCounts, count_transitions
 from ..mapping.policy import MappingPolicy
@@ -357,8 +357,16 @@ def _build_context(
     """
     workload = layers if isinstance(layers, Network) else None
     layers = as_layers(layers)
+    if not isinstance(buffers, BufferConfig):
+        raise ConfigurationError(
+            f"buffers must be a BufferConfig, got {buffers!r}")
     if architectures is None:
         architectures = scenario.device.supported_architectures
+    for axis, values in (("architectures", architectures),
+                         ("schemes", schemes), ("policies", policies)):
+        if not values:
+            raise ConfigurationError(
+                f"the {axis} axis is empty; pass at least one")
     for architecture in architectures:
         scenario.device.require_architecture(architecture)
     grids: List[_LayerGrid] = []
@@ -382,7 +390,7 @@ def _build_context(
             admissible = tuple(
                 tiling for tiling in candidates
                 if tiling.fits(layer, buffers))
-        if not admissible or per_point == 0:
+        if not admissible:
             raise DseError(
                 f"no tiling of {layer.name} satisfies the buffer constraint")
         grids.append(_LayerGrid(

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..caching import CacheStats, LRUMemo
-from ..errors import ConfigurationError
 
 from .address import Coordinate
 from .architecture import DRAMArchitecture
@@ -244,19 +243,11 @@ def _isolated_miss_cost(simulator: DRAMSimulator, kind: RequestKind) -> tuple:
     return float(result.total_cycles), result.total_energy_nj
 
 
-#: Valid ``model=`` arguments of :func:`characterize`.
-CHARACTERIZE_MODELS = ("auto", "simulator", "kernel")
-
-
 def characterize(
     architecture: DRAMArchitecture,
-    simulator: DRAMSimulator = None,
-    short_count: int = 64,
-    long_count: int = 320,
     device: Optional[DeviceProfile] = None,
     controller: Optional[ControllerConfig] = None,
     contention: Optional[ContentionConfig] = None,
-    model: str = "auto",
 ) -> CharacterizationResult:
     """Measure the Fig.-1 per-condition costs for ``architecture``.
 
@@ -264,89 +255,54 @@ def characterize(
     ----------
     architecture:
         DRAM architecture to characterize.
-    simulator:
-        Optional pre-built simulator (must match ``architecture``); by
-        default one is built from ``device``.
-    short_count / long_count:
-        Stream lengths for the marginal measurement.  Both must exceed
-        one full sweep of the widest stream so warm-up effects cancel.
     device:
         Device profile to characterize (default: the paper's Table-II
         device).  Its capability set must include ``architecture``.
-        When ``simulator`` is supplied the profile's parameters are
-        not used; it only labels the result's ``device_name`` (a
-        pre-built simulator of unknown provenance is labelled
-        ``"custom"``).
     controller:
         Memory-controller configuration to measure under (default:
-        the paper's FCFS/open-row controller).  When ``simulator`` is
-        supplied its own configuration wins and ``controller`` must
-        not disagree with it.
+        the paper's FCFS/open-row controller).
     contention:
         Channel contention configuration (default: the paper's
         uncontended single requestor).  With ``requestors > 1`` each
         micro-experiment stream is split across the requestors and
         merged back through the crossbar front end, and the result
-        carries per-requestor bandwidth/latency accounting.  When
-        ``simulator`` is supplied its own configuration wins and
-        ``contention`` must not disagree with it.
-    model:
-        Characterization backend.  ``"auto"`` (default) uses the
-        vectorized numpy kernel (:mod:`repro.dram.kernel`) whenever
-        the configuration is kernel-eligible — default FCFS/open-row
-        controller, refresh off, uncontended — and the object
-        simulator otherwise; the two are exactly equal where both
-        apply (enforced by the differential suite), so the result
-        carries no backend marker.  ``"simulator"`` forces the object
-        simulator; ``"kernel"`` forces the kernel and raises
-        :class:`ConfigurationError` for non-eligible configurations.
+        carries per-requestor bandwidth/latency accounting.
+
+    Kernel-eligible scenarios (:func:`repro.dram.kernel
+    .kernel_ineligibility`) are served by the vectorized batch kernel,
+    everything else by :func:`simulate_characterization` on the object
+    simulator; the two are exactly equal where both apply (enforced by
+    the differential suite), so the result carries no backend marker.
     """
-    if model not in CHARACTERIZE_MODELS:
-        raise ConfigurationError(
-            f"unknown characterization model {model!r}; "
-            f"choose one of {', '.join(CHARACTERIZE_MODELS)}")
     scenario = Scenario.of(device, controller=controller,
                            contention=contention)
-    if simulator is None:
-        simulator = DRAMSimulator.from_profile(
-            scenario.device, architecture, controller=scenario.controller,
-            contention=scenario.contention)
-        device_name = scenario.device.name
-    else:
-        if controller is not None \
-                and scenario.controller != simulator.controller:
-            raise ConfigurationError(
-                f"controller {scenario.controller.label!r} "
-                f"disagrees with the pre-built simulator's "
-                f"{simulator.controller.label!r}")
-        if contention is not None \
-                and scenario.contention != simulator.contention:
-            raise ConfigurationError(
-                f"contention {scenario.contention.label!r} "
-                f"disagrees with the pre-built simulator's "
-                f"{simulator.contention.label!r}")
-        scenario = Scenario(scenario.device, simulator.controller,
-                            simulator.contention)
-        device_name = device.name if device is not None else "custom"
-    if model != "simulator":
-        from .kernel import KernelCharacterizer, kernel_ineligibility
-        reason = kernel_ineligibility(scenario, simulator.refresh_enabled)
-        if reason is None:
-            engine = KernelCharacterizer(
-                simulator.organization,
-                simulator.timings,
-                simulator.energy_model,
-                scenario,
-                include_background=simulator.include_background_energy,
-                device_name=device_name,
-                short_count=short_count,
-                long_count=long_count,
-            )
-            return engine.characterize(architecture)
-        if model == "kernel":
-            raise ConfigurationError(
-                f"model 'kernel' cannot characterize {reason}; "
-                "use model='simulator' (or 'auto' to fall back)")
+    # Lazy: the kernel module imports this one.
+    from .kernel import characterize_batch, kernel_ineligibility
+    if kernel_ineligibility(scenario) is None:
+        return characterize_batch(scenario, (architecture,))[architecture]
+    simulator = DRAMSimulator.from_profile(
+        scenario.device, architecture, controller=scenario.controller,
+        contention=scenario.contention)
+    return simulate_characterization(
+        simulator, architecture, device_name=scenario.device.name)
+
+
+def simulate_characterization(
+    simulator: DRAMSimulator,
+    architecture: DRAMArchitecture,
+    short_count: int = 64,
+    long_count: int = 320,
+    device_name: str = "custom",
+) -> CharacterizationResult:
+    """Fig.-1 costs measured on ``simulator``: the reference backend.
+
+    ``simulator`` must be built for ``architecture``; its controller
+    and contention configuration label the result.  ``short_count``
+    and ``long_count`` are the stream lengths of the marginal
+    measurement; both must exceed one full sweep of the widest stream
+    so warm-up effects cancel.  ``device_name`` labels the result (a
+    simulator of unknown provenance is ``"custom"``).
+    """
     costs: Dict[AccessCondition, ConditionCost] = {}
     steady_state: List[ServicedRequest] = []
     for condition, stream in _STREAMS.items():
@@ -371,15 +327,15 @@ def characterize(
         write_energy_nj=miss_write_nj,
     )
     requestor_stats: Tuple[RequestorStats, ...] = ()
-    if scenario.contention.requestors > 1:
+    if simulator.contention.requestors > 1:
         requestor_stats = per_requestor_stats(steady_state)
     return CharacterizationResult(
         architecture=architecture,
         costs=costs,
         tck_ns=simulator.timings.tck_ns,
         device_name=device_name,
-        controller=scenario.controller,
-        contention=scenario.contention,
+        controller=simulator.controller,
+        contention=simulator.contention,
         requestor_stats=requestor_stats,
     )
 
@@ -471,7 +427,6 @@ class CharacterizationCache:
         device: Optional[DeviceProfile] = None,
         controller: Optional[ControllerConfig] = None,
         contention: Optional[ContentionConfig] = None,
-        model: str = "auto",
     ) -> CharacterizationResult:
         """Characterization of ``architecture`` on a device.
 
@@ -484,20 +439,16 @@ class CharacterizationCache:
         contention (default: one uncontended requestor).  Results are
         computed on first use and served from the cache — as the
         *same object* — afterwards.
-
-        ``model`` selects the backend on a miss (see
-        :func:`characterize`); it is not part of the key.
         """
         scenario = Scenario.of(device, organization, controller,
                                contention)
         scenario.device.require_architecture(architecture)
-        return self._get(scenario, architecture, model)
+        return self._get(scenario, architecture)
 
     def _get(
         self,
         scenario: Scenario,
         architecture: DRAMArchitecture,
-        model: str,
         precomputed: Optional[CharacterizationResult] = None,
     ) -> CharacterizationResult:
         """Resolved-scenario lookup; ``precomputed`` skips computing.
@@ -518,7 +469,7 @@ class CharacterizationCache:
             result = characterize(
                 architecture, device=scenario.device,
                 controller=scenario.controller,
-                contention=scenario.contention, model=model)
+                contention=scenario.contention)
             if self.store is not None:
                 self.store.save(result, scenario, architecture)
             return result
@@ -536,7 +487,6 @@ class CharacterizationCache:
         device: Optional[DeviceProfile] = None,
         controller: Optional[ControllerConfig] = None,
         contention: Optional[ContentionConfig] = None,
-        model: str = "auto",
     ) -> Dict[DRAMArchitecture, CharacterizationResult]:
         """Characterizations of several architectures on one device.
 
@@ -555,36 +505,35 @@ class CharacterizationCache:
         for architecture in architectures:
             scenario.device.require_architecture(architecture)
         precomputed: Dict[DRAMArchitecture, CharacterizationResult] = {}
-        if model != "simulator":
-            from .kernel import characterize_batch, kernel_ineligibility
-            need = [
-                architecture for architecture in architectures
-                if self._memo.peek((scenario, architecture)) is None
-            ] if kernel_ineligibility(scenario) is None else []
-            # Only worth (and only safe to) front-run the per-key miss
-            # path when at least two keys would otherwise compute:
-            # once the store pass runs here, every remaining miss must
-            # also resolve here, or the per-key path would consult the
-            # store a second time and skew its traffic counters.
-            if len(need) > 1:
+        from .kernel import characterize_batch, kernel_ineligibility
+        need = [
+            architecture for architecture in architectures
+            if self._memo.peek((scenario, architecture)) is None
+        ] if kernel_ineligibility(scenario) is None else []
+        # Only worth (and only safe to) front-run the per-key miss path
+        # when at least two keys would otherwise compute: once the
+        # store pass runs here, every remaining miss must also resolve
+        # here, or the per-key path would consult the store a second
+        # time and skew its traffic counters.
+        if len(need) > 1:
+            if self.store is not None:
+                still = []
+                for architecture in need:
+                    stored = self.store.load(scenario, architecture)
+                    if stored is not None:
+                        precomputed[architecture] = stored
+                    else:
+                        still.append(architecture)
+                need = still
+            if need:
+                batch = characterize_batch(scenario, need)
+                precomputed.update(batch)
                 if self.store is not None:
-                    still = []
-                    for architecture in need:
-                        stored = self.store.load(scenario, architecture)
-                        if stored is not None:
-                            precomputed[architecture] = stored
-                        else:
-                            still.append(architecture)
-                    need = still
-                if need:
-                    batch = characterize_batch(scenario, need)
-                    precomputed.update(batch)
-                    if self.store is not None:
-                        for architecture, result in batch.items():
-                            self.store.save(result, scenario, architecture)
+                    for architecture, result in batch.items():
+                        self.store.save(result, scenario, architecture)
         return {
             architecture: self._get(
-                scenario, architecture, model,
+                scenario, architecture,
                 precomputed=precomputed.get(architecture))
             for architecture in architectures
         }
@@ -603,19 +552,16 @@ def characterize_cached(
     device: Optional[DeviceProfile] = None,
     controller: Optional[ControllerConfig] = None,
     contention: Optional[ContentionConfig] = None,
-    model: str = "auto",
 ) -> CharacterizationResult:
     """Characterize through the process-wide LRU cache.
 
     Like :func:`characterize`, but repeated requests — e.g. one per
     design point of a sweep — hit the simulator only once per
-    scenario.  ``model`` selects the backend on a miss; it is not part
-    of the key (kernel and simulator results are exactly
-    interchangeable).
+    scenario.
     """
     return DEFAULT_CHARACTERIZATION_CACHE.get(
         architecture, organization, device=device, controller=controller,
-        contention=contention, model=model)
+        contention=contention)
 
 
 def characterize_device(
@@ -623,7 +569,6 @@ def characterize_device(
     architectures: Optional[tuple] = None,
     controller: Optional[ControllerConfig] = None,
     contention: Optional[ContentionConfig] = None,
-    model: str = "auto",
 ) -> Dict[DRAMArchitecture, CharacterizationResult]:
     """Cached Fig.-1 characterization of one device.
 
@@ -640,4 +585,4 @@ def characterize_device(
         architectures = device.supported_architectures
     return DEFAULT_CHARACTERIZATION_CACHE.get_many(
         architectures, device=device, controller=controller,
-        contention=contention, model=model)
+        contention=contention)

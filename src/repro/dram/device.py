@@ -146,6 +146,11 @@ class DeviceProfile:
 
     def require_architecture(self, architecture: DRAMArchitecture) -> None:
         """Raise :class:`ConfigurationError` unless supported."""
+        if not isinstance(architecture, DRAMArchitecture):
+            choices = ", ".join(a.value for a in DRAMArchitecture)
+            raise ConfigurationError(
+                f"architecture must be a DRAMArchitecture member, got "
+                f"{architecture!r}; choose one of {choices}")
         if not self.supports(architecture):
             supported = ", ".join(
                 a.value for a in self.supported_architectures)

@@ -41,13 +41,14 @@ re-expresses the same micro-experiments as a batch kernel:
 Eligibility
 -----------
 The kernel models exactly the configuration the paper characterizes
-under: the default FCFS/open-row controller, refresh off, an
-uncontended channel.  Everything else — FR-FCFS, closed/timeout row
-policies, refresh, ``requestors > 1`` — stays on the object simulator,
-the single source of truth for traces, properties and non-default
+under: the default FCFS/open-row controller and an uncontended
+channel.  Everything else — FR-FCFS, closed/timeout row policies,
+``requestors > 1`` — stays on the object simulator
+(:func:`~repro.dram.characterize.simulate_characterization`), the
+single source of truth for traces, properties and non-default
 controllers.  :func:`kernel_ineligibility` names the first violated
-requirement (or ``None``), so callers can raise or fall back with a
-useful message.
+requirement (or ``None``); it alone decides which backend
+:func:`~repro.dram.characterize.characterize` runs.
 
 Results are plain :class:`~repro.dram.characterize.CharacterizationResult`
 objects, indistinguishable from simulator-produced ones, which is what
@@ -188,13 +189,13 @@ def classify_stream(stream: np.ndarray) -> Tuple[np.ndarray, ...]:
 # Eligibility
 # ----------------------------------------------------------------------
 
-def kernel_ineligibility(scenario: Scenario,
-                         refresh_enabled: bool = False) -> Optional[str]:
+def kernel_ineligibility(scenario: Scenario) -> Optional[str]:
     """Why the kernel cannot serve this scenario, or ``None``.
 
     The kernel models the paper's characterization configuration
     exactly and nothing else: default FCFS/open-row controller, one
-    uncontended requestor, refresh off.
+    uncontended requestor.  Refresh is never part of a scenario (only
+    a hand-built simulator enables it), so it needs no check here.
     """
     config = scenario.controller
     channel = scenario.contention
@@ -205,8 +206,6 @@ def kernel_ineligibility(scenario: Scenario,
     if channel.requestors != 1:
         return (f"{channel.requestors} requestors (the kernel models the "
                 "uncontended channel only)")
-    if refresh_enabled:
-        return "refresh enabled (the kernel never issues REF commands)"
     return None
 
 
@@ -600,27 +599,24 @@ def _walk_masa(
 # ----------------------------------------------------------------------
 
 class KernelCharacterizer:
-    """Batch-amortized kernel characterization of one parameter set.
+    """Batch-amortized kernel characterization of one scenario.
 
     One instance owns the synthesized streams, their classifications
-    and the finished micro-experiment runs for a single
-    (organization, timings, energy model) triple, sharing them across
-    every architecture it characterizes — the setup-amortization that
-    makes :func:`characterize_batch` cheaper than per-triple calls.
+    and the finished micro-experiment runs for a single device
+    profile (organization, timings and energy model), sharing them
+    across every architecture it characterizes — the
+    setup-amortization that makes :func:`characterize_batch` cheaper
+    than per-architecture calls.
 
     ``scenario`` must be kernel-eligible (:func:`kernel_ineligibility`);
     its controller and contention only label the result, exactly as
-    the simulator path does.
+    the simulator path does.  ``short_count`` / ``long_count`` are the
+    stream lengths of the marginal measurement.
     """
 
     def __init__(
         self,
-        organization: DRAMOrganization,
-        timings: TimingParameters,
-        energy_model: EnergyModel,
         scenario: Scenario,
-        include_background: bool = True,
-        device_name: str = "custom",
         short_count: int = 64,
         long_count: int = 320,
     ) -> None:
@@ -628,11 +624,12 @@ class KernelCharacterizer:
         if reason is not None:
             raise ConfigurationError(
                 f"kernel characterization cannot model {reason}")
-        self.organization = organization
-        self.timings = timings
+        profile = scenario.device
+        energy_model = EnergyModel(profile.organization, profile.timings,
+                                   profile.currents)
+        self.organization = profile.organization
+        self.timings = profile.timings
         self.model = energy_model
-        self.include_background = include_background
-        self.device_name = device_name
         self.short_count = short_count
         self.long_count = long_count
         self.scenario = scenario
@@ -784,9 +781,7 @@ class KernelCharacterizer:
         cycles, act_e, pre_e, col_e = totals
         read_e = col_e if is_read else 0.0
         write_e = 0.0 if is_read else col_e
-        background = 0.0
-        if self.include_background:
-            background = self.model.background_nj(cycles, 1.0)
+        background = self.model.background_nj(cycles, 1.0)
         return act_e + pre_e + read_e + write_e + 0.0 + background
 
     def _marginal(self, condition: AccessCondition, kind: RequestKind,
@@ -835,7 +830,7 @@ class KernelCharacterizer:
             architecture=architecture,
             costs=costs,
             tck_ns=self.timings.tck_ns,
-            device_name=self.device_name,
+            device_name=self.scenario.device.name,
             controller=self.scenario.controller,
             contention=self.scenario.contention,
             requestor_stats=(),
@@ -862,15 +857,9 @@ def characterize_batch(
     comes from.  ``scenario`` must be kernel-eligible; an ineligible
     one raises :class:`ConfigurationError`.
     """
-    profile = scenario.device
-    engine = KernelCharacterizer(
-        profile.organization, profile.timings,
-        EnergyModel(profile.organization, profile.timings,
-                    profile.currents),
-        scenario, device_name=profile.name,
-        short_count=short_count, long_count=long_count)
+    engine = KernelCharacterizer(scenario, short_count, long_count)
     results: Dict[DRAMArchitecture, CharacterizationResult] = {}
     for architecture in architectures:
-        profile.require_architecture(architecture)
+        scenario.device.require_architecture(architecture)
         results[architecture] = engine.characterize(architecture)
     return results

@@ -1,5 +1,7 @@
 """Tests for layer partitioning."""
 
+import itertools
+
 import pytest
 
 from repro.cnn.layer import ConvLayer
@@ -7,6 +9,7 @@ from repro.cnn.tiling import (
     BufferConfig,
     TABLE2_BUFFERS,
     TilingConfig,
+    _candidate_steps,
     enumerate_tilings,
 )
 from repro.errors import ConfigurationError, DseError
@@ -101,13 +104,22 @@ class TestEnumeration:
             assert tiling.fits(conv2, TABLE2_BUFFERS)
 
     def test_maximal_pruning_reduces_count(self, conv2):
-        pruned = enumerate_tilings(conv2, only_maximal=True)
-        full = enumerate_tilings(conv2, only_maximal=False)
+        pruned = enumerate_tilings(conv2)
+        full = [
+            tiling for tiling in (
+                TilingConfig(th=th, tw=tw, tj=tj, ti=ti)
+                for th, tw, tj, ti in itertools.product(
+                    _candidate_steps(conv2.out_height),
+                    _candidate_steps(conv2.out_width),
+                    _candidate_steps(conv2.out_channels_per_group),
+                    _candidate_steps(conv2.in_channels_per_group)))
+            if tiling.fits(conv2, TABLE2_BUFFERS)
+        ]
         assert 0 < len(pruned) < len(full)
 
     def test_maximal_tilings_cannot_grow(self, conv2):
         """No maximal tiling can double any step and still fit."""
-        for tiling in enumerate_tilings(conv2, only_maximal=True):
+        for tiling in enumerate_tilings(conv2):
             for field_name in ("th", "tw", "tj", "ti"):
                 grown = TilingConfig(**{
                     "th": tiling.th, "tw": tiling.tw,
@@ -121,9 +133,6 @@ class TestEnumeration:
                 })
                 if grown != tiling:
                     assert not grown.fits(conv2, TABLE2_BUFFERS)
-
-    def test_limit_caps_results(self, conv2):
-        assert len(enumerate_tilings(conv2, limit=3)) == 3
 
     def test_every_alexnet_layer_has_candidates(self):
         for layer in get_workload("alexnet").lower():

@@ -22,7 +22,7 @@ from repro.core.pareto import (
 from repro.dram.architecture import DRAMArchitecture
 from repro.dram.characterize import CharacterizationCache
 from repro.dram.scenario import Scenario
-from repro.errors import DseError
+from repro.errors import ConfigurationError, DseError
 from repro.mapping.catalog import DRMAP, TABLE1_MAPPINGS
 from repro.workloads import get_workload
 
@@ -278,6 +278,23 @@ class TestValidation:
     def test_empty_tilings_raise(self, tiny_layer):
         with pytest.raises(DseError):
             ExplorationEngine().explore_layer(tiny_layer, tilings=[])
+
+    def test_string_architecture_rejected(self, tiny_layer):
+        with pytest.raises(ConfigurationError, match="DRAMArchitecture"):
+            ExplorationEngine().explore_layer(
+                tiny_layer, architectures=("DDR3",))
+
+    @pytest.mark.parametrize("buffers", [None, (1024, 1024, 1024)],
+                             ids=["none", "tuple"])
+    def test_non_buffer_config_rejected(self, tiny_layer, buffers):
+        with pytest.raises(ConfigurationError, match="BufferConfig"):
+            ExplorationEngine().explore_layer(tiny_layer, buffers=buffers)
+
+    @pytest.mark.parametrize("axis", ["architectures", "schemes",
+                                      "policies"])
+    def test_empty_axis_rejected_by_name(self, tiny_layer, axis):
+        with pytest.raises(ConfigurationError, match=f"the {axis} axis"):
+            ExplorationEngine().explore_layer(tiny_layer, **{axis: ()})
 
     def test_bad_jobs_rejected(self):
         with pytest.raises(ValueError):

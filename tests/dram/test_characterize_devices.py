@@ -74,11 +74,13 @@ class TestGoldenValues:
     def test_prebuilt_simulator_labelled_custom(self):
         """A pre-built simulator has unknown provenance: it must not be
         mislabelled as the default device."""
+        from repro.dram.characterize import simulate_characterization
         from repro.dram.simulator import DRAMSimulator
 
         simulator = DRAMSimulator(
             TINY_DEVICE.organization.with_subarrays(2))
-        result = characterize(DRAMArchitecture.DDR3, simulator=simulator)
+        result = simulate_characterization(
+            simulator, DRAMArchitecture.DDR3)
         assert result.device_name == "custom"
 
 

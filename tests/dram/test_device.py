@@ -18,8 +18,11 @@ from repro.dram.device import (
     get_device,
     resolve_device,
 )
+from repro.dram.characterize import CharacterizationCache
+from repro.dram.kernel import characterize_batch
 from repro.dram.power import DDR3_1600_2GB_X8_CURRENTS
 from repro.dram.presets import DDR3_1600_2GB_X8, TINY_ORGANIZATION
+from repro.dram.scenario import Scenario
 from repro.dram.timing import DDR3_1600_TIMINGS
 from repro.errors import ConfigurationError
 
@@ -92,6 +95,20 @@ class TestDeviceProfileValidation:
         with pytest.raises(ConfigurationError, match="supported: DDR3"):
             LPDDR4_3200_DEVICE.require_architecture(
                 DRAMArchitecture.SALP_1)
+
+    def test_architecture_name_string_rejected_with_choices(self):
+        with pytest.raises(ConfigurationError,
+                           match="DDR3, SALP-1, SALP-2, SALP-MASA"):
+            LPDDR4_3200_DEVICE.require_architecture("DDR3")
+
+    @pytest.mark.parametrize("call", [
+        lambda: CharacterizationCache().get("DDR3"),
+        lambda: CharacterizationCache().get_many(["SALP-1"]),
+        lambda: characterize_batch(Scenario.of(), ["DDR3"]),
+    ], ids=["cache-get", "cache-get-many", "characterize-batch"])
+    def test_string_architecture_rejected_by_characterization(self, call):
+        with pytest.raises(ConfigurationError, match="DRAMArchitecture"):
+            call()
 
     def test_empty_capability_set_rejected(self):
         with pytest.raises(ConfigurationError, match="at least one"):

@@ -2,13 +2,16 @@
 
 The vectorized kernel (:mod:`repro.dram.kernel`) is a *golden-pinned*
 fast path: wherever it is eligible — the default FCFS/open-row
-controller, refresh off, an uncontended channel — its
+controller on an uncontended channel — its
 :class:`CharacterizationResult` must equal the simulator's **exactly**
 (``==`` on every float, not approximately).  The simulator remains the
-source of truth; these tests are the pin.
+source of truth; these tests are the pin.  Both backends are called
+directly: :func:`characterize_batch` and the simulator reference
+:func:`simulate_characterization`.
 """
 
 import dataclasses
+import importlib
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,7 @@ from repro.dram.architecture import DRAMArchitecture
 from repro.dram.characterize import (
     CharacterizationCache,
     characterize,
+    simulate_characterization,
 )
 from repro.dram.contention import contention_config
 from repro.dram.device import DEVICE_REGISTRY, TINY_DEVICE, get_device
@@ -61,6 +65,20 @@ def assert_exactly_equal(kernel_result, simulator_result):
             condition
 
 
+def kernel(device, architecture, **lengths):
+    """The kernel backend on ``device``'s default scenario."""
+    return characterize_batch(
+        Scenario.of(device), (architecture,), **lengths)[architecture]
+
+
+def simulated(device, architecture, controller=None, **lengths):
+    """The simulator reference backend on ``device``."""
+    simulator = DRAMSimulator.from_profile(
+        device, architecture, controller=controller)
+    return simulate_characterization(
+        simulator, architecture, device_name=device.name, **lengths)
+
+
 class TestExactEquality:
     """Kernel == simulator on every preset x architecture."""
 
@@ -68,18 +86,8 @@ class TestExactEquality:
         "device, architecture", ALL_TRIPLES,
         ids=[f"{d.name}-{a.value}" for d, a in ALL_TRIPLES])
     def test_every_preset_and_architecture(self, device, architecture):
-        kernel = characterize(
-            architecture, device=device, model="kernel")
-        simulator = characterize(
-            architecture, device=device, model="simulator")
-        assert_exactly_equal(kernel, simulator)
-
-    def test_auto_uses_the_kernel_values(self):
-        auto = characterize(DRAMArchitecture.SALP_MASA,
-                            device=TINY_DEVICE)
-        kernel = characterize(DRAMArchitecture.SALP_MASA,
-                              device=TINY_DEVICE, model="kernel")
-        assert_exactly_equal(auto, kernel)
+        assert_exactly_equal(kernel(device, architecture),
+                             simulated(device, architecture))
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -92,14 +100,9 @@ class TestExactEquality:
         device = data.draw(st.sampled_from(list(DEVICE_REGISTRY)))
         architecture = data.draw(
             st.sampled_from(list(device.supported_architectures)))
-        long = short + gap
-        kernel = characterize(
-            architecture, device=device, model="kernel",
-            short_count=short, long_count=long)
-        simulator = characterize(
-            architecture, device=device, model="simulator",
-            short_count=short, long_count=long)
-        assert_exactly_equal(kernel, simulator)
+        lengths = {"short_count": short, "long_count": short + gap}
+        assert_exactly_equal(kernel(device, architecture, **lengths),
+                             simulated(device, architecture, **lengths))
 
     def test_masa_lru_eviction_path(self):
         """A 16-subarray geometry exceeds MASA's 8-row budget.
@@ -113,11 +116,8 @@ class TestExactEquality:
             base.organization, subarrays_per_bank=16)
         wide = dataclasses.replace(
             base, name="ddr3-16sub", organization=organization)
-        kernel = characterize(
-            DRAMArchitecture.SALP_MASA, device=wide, model="kernel")
-        simulator = characterize(
-            DRAMArchitecture.SALP_MASA, device=wide, model="simulator")
-        assert_exactly_equal(kernel, simulator)
+        assert_exactly_equal(kernel(wide, DRAMArchitecture.SALP_MASA),
+                             simulated(wide, DRAMArchitecture.SALP_MASA))
 
 
 class TestBatch:
@@ -128,8 +128,7 @@ class TestBatch:
         batch = characterize_batch(Scenario.of(device), architectures)
         assert tuple(batch) == tuple(architectures)
         for architecture, result in batch.items():
-            single = characterize(
-                architecture, device=device, model="kernel")
+            single = characterize(architecture, device=device)
             assert_exactly_equal(result, single)
 
     def test_ineligible_scenario_raises(self):
@@ -140,7 +139,7 @@ class TestBatch:
 
 
 class TestEligibility:
-    """Forcing the kernel on unsupported configurations must raise."""
+    """The kernel rejects every configuration it does not model."""
 
     @pytest.mark.parametrize("config", [
         controller_config(scheduler="fr-fcfs"),
@@ -148,79 +147,66 @@ class TestEligibility:
         controller_config(row_policy="timeout", timeout_cycles=50),
     ], ids=["fr-fcfs", "closed", "timeout"])
     def test_non_default_controller_raises(self, config):
-        assert kernel_ineligibility(
-            Scenario.of(controller=config)) is not None
+        scenario = Scenario.of(TINY_DEVICE, controller=config)
+        assert kernel_ineligibility(scenario) is not None
         with pytest.raises(ConfigurationError, match="kernel"):
-            characterize(DRAMArchitecture.DDR3, device=TINY_DEVICE,
-                         controller=config, model="kernel")
+            characterize_batch(scenario, (DRAMArchitecture.DDR3,))
 
     def test_contended_channel_raises(self):
-        channel = contention_config(requestors=2)
-        assert kernel_ineligibility(
-            Scenario.of(contention=channel)) is not None
+        scenario = Scenario.of(
+            TINY_DEVICE, contention=contention_config(requestors=2))
+        assert kernel_ineligibility(scenario) is not None
         with pytest.raises(ConfigurationError, match="kernel"):
-            characterize(DRAMArchitecture.DDR3, device=TINY_DEVICE,
-                         contention=channel, model="kernel")
-
-    def test_refresh_enabled_raises(self):
-        simulator = DRAMSimulator.from_profile(
-            TINY_DEVICE, DRAMArchitecture.DDR3, refresh_enabled=True)
-        assert kernel_ineligibility(
-            Scenario.of(), refresh_enabled=True) is not None
-        with pytest.raises(ConfigurationError, match="kernel"):
-            characterize(DRAMArchitecture.DDR3, simulator=simulator,
-                         device=TINY_DEVICE, model="kernel")
-
-    def test_auto_falls_back_and_matches_the_simulator(self):
-        config = controller_config(scheduler="fr-fcfs")
-        auto = characterize(DRAMArchitecture.SALP_1, device=TINY_DEVICE,
-                            controller=config, model="auto")
-        simulator = characterize(
-            DRAMArchitecture.SALP_1, device=TINY_DEVICE,
-            controller=config, model="simulator")
-        assert_exactly_equal(auto, simulator)
-
-    def test_unknown_model_raises(self):
-        with pytest.raises(ConfigurationError, match="unknown"):
-            characterize(DRAMArchitecture.DDR3, device=TINY_DEVICE,
-                         model="exact")
+            characterize_batch(scenario, (DRAMArchitecture.DDR3,))
 
     def test_direct_construction_rejects_ineligible_config(self):
         with pytest.raises(ConfigurationError):
-            KernelCharacterizer(
-                TINY_DEVICE.organization, TINY_DEVICE.timings,
-                DRAMSimulator.from_profile(TINY_DEVICE).energy_model,
-                scenario=Scenario.of(
-                    TINY_DEVICE,
-                    controller=controller_config(scheduler="fr-fcfs")))
+            KernelCharacterizer(Scenario.of(
+                TINY_DEVICE,
+                controller=controller_config(scheduler="fr-fcfs")))
+
+
+class TestDispatch:
+    """``kernel_ineligibility`` alone picks :func:`characterize`'s backend."""
+
+    @staticmethod
+    def _forbid(monkeypatch, module, name):
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError(f"{module}.{name} must not be called")
+
+        monkeypatch.setattr(importlib.import_module(module), name,
+                            forbidden)
+
+    def test_eligible_scenario_never_simulates(self, monkeypatch):
+        self._forbid(monkeypatch, "repro.dram.characterize",
+                     "simulate_characterization")
+        assert_exactly_equal(
+            characterize(DRAMArchitecture.SALP_MASA, device=TINY_DEVICE),
+            kernel(TINY_DEVICE, DRAMArchitecture.SALP_MASA))
+
+    def test_ineligible_scenario_never_runs_the_kernel(self, monkeypatch):
+        config = controller_config(scheduler="fr-fcfs")
+        expected = simulated(TINY_DEVICE, DRAMArchitecture.SALP_1,
+                             controller=config)
+        self._forbid(monkeypatch, "repro.dram.kernel", "characterize_batch")
+        assert_exactly_equal(
+            characterize(DRAMArchitecture.SALP_1, device=TINY_DEVICE,
+                         controller=config),
+            expected)
 
 
 class TestCacheNoFork:
     """The backend is not part of the cache key or the store spec."""
 
-    def test_memo_entry_is_shared_across_backends(self):
-        cache = CharacterizationCache()
-        first = cache.get(DRAMArchitecture.DDR3, device=TINY_DEVICE,
-                          model="kernel")
-        second = cache.get(DRAMArchitecture.DDR3, device=TINY_DEVICE,
-                           model="simulator")
-        assert first is second
-        assert cache.stats.hits == 1
-        assert cache.stats.misses == 1
-
     def test_store_entry_is_shared_across_backends(self, tmp_path):
         store = CharacterizationStore(tmp_path / "store")
         writer = CharacterizationCache(store=store)
-        writer.get(DRAMArchitecture.DDR3, device=TINY_DEVICE,
-                   model="kernel")
+        writer.get(DRAMArchitecture.DDR3, device=TINY_DEVICE)
         reader = CharacterizationCache(store=store)
-        served = reader.get(DRAMArchitecture.DDR3, device=TINY_DEVICE,
-                            model="simulator")
+        served = reader.get(DRAMArchitecture.DDR3, device=TINY_DEVICE)
         assert store.hits == 1
-        simulator = characterize(
-            DRAMArchitecture.DDR3, device=TINY_DEVICE,
-            model="simulator")
-        assert_exactly_equal(served, simulator)
+        assert_exactly_equal(
+            served, simulated(TINY_DEVICE, DRAMArchitecture.DDR3))
 
     def test_get_many_equals_per_get(self):
         architectures = tuple(TINY_DEVICE.supported_architectures)

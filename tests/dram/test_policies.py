@@ -6,7 +6,11 @@ import pytest
 
 from repro.dram.address import Coordinate
 from repro.dram.architecture import DRAMArchitecture
-from repro.dram.characterize import CharacterizationCache, characterize
+from repro.dram.characterize import (
+    CharacterizationCache,
+    characterize,
+    simulate_characterization,
+)
 from repro.dram.commands import CommandKind, Request
 from repro.dram.controller import MemoryController
 from repro.dram.device import TINY_DEVICE
@@ -248,19 +252,13 @@ class TestCharacterizationThreading:
         default = characterize(DRAMArchitecture.DDR3, device=TINY_DEVICE)
         assert default.controller == DEFAULT_CONTROLLER_CONFIG
 
-    def test_prebuilt_simulator_config_wins(self):
+    def test_simulator_reference_records_its_controller(self):
         config = controller_config(row_policy="closed")
         simulator = DRAMSimulator(
             TINY_DEVICE.organization, controller=config)
-        result = characterize(DRAMArchitecture.DDR3, simulator=simulator)
+        result = simulate_characterization(
+            simulator, DRAMArchitecture.DDR3)
         assert result.controller == config
-
-    def test_disagreeing_controller_rejected(self):
-        simulator = DRAMSimulator(TINY_DEVICE.organization)
-        with pytest.raises(ConfigurationError, match="disagrees"):
-            characterize(
-                DRAMArchitecture.DDR3, simulator=simulator,
-                controller=controller_config(row_policy="closed"))
 
     def test_closed_row_hit_costs_more(self):
         """Closed-row forfeits row locality: hits become act+access."""

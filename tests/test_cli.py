@@ -520,4 +520,11 @@ class TestChannelContention:
         assert code == 2
         err = capsys.readouterr().err
         assert "--model auto" in err
-        assert "--model simulator" in err
+
+    @pytest.mark.parametrize("backend", ["kernel", "simulator"])
+    def test_backend_choices_are_gone(self, capsys, backend):
+        """The exact backend is picked by the scenario, not the user."""
+        with pytest.raises(SystemExit) as exc:
+            main(["characterize", "--model", backend])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
