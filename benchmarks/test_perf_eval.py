@@ -10,7 +10,7 @@ path that returns different bits is a bug, not a speedup):
   replaces;
 * the **funnel strategy end to end** (batched analytical pruning +
   exact re-evaluation of the survivors) must not regress: the vector
-  backend's wall clock stays within 10% of the scalar backend's, and
+  path's wall clock stays within 10% of the reference loops', and
   both produce identical points.
 
 Run via ``make bench-eval``.
@@ -24,7 +24,7 @@ from repro.core.engine import (
     EvaluationCache,
     ExplorationEngine,
     _build_context,
-    _evaluate_range,
+    evaluate_range,
 )
 from repro.core.eval_kernel import ChunkEvaluator
 from repro.core.report import format_table
@@ -45,7 +45,7 @@ def test_vector_kernel_at_least_5x_faster_than_scalar_loop(
         TABLE2_BUFFERS, None, DEFAULT_CHARACTERIZATION_CACHE,
         Scenario.of())
     cache = EvaluationCache()
-    scalar_chunk = partial(_evaluate_range, context, cache)
+    scalar_chunk = partial(evaluate_range, context, cache)
     vector_chunk = ChunkEvaluator(context, cache, scalar_chunk)
     total = context.total_points
     chunk_size = 256
@@ -83,18 +83,19 @@ def test_vector_kernel_at_least_5x_faster_than_scalar_loop(
         f"{scalar_seconds:.4f}s (gate: 5x)")
 
 
-def test_funnel_wall_clock_does_not_regress(alexnet_layers):
-    """Funnel end to end: vector backend within 10% of scalar."""
-    scalar_engine = ExplorationEngine(jobs=1, strategy="funnel",
-                                      eval_model="scalar")
-    vector_engine = ExplorationEngine(jobs=1, strategy="funnel",
-                                      eval_model="auto")
+def test_funnel_wall_clock_does_not_regress(alexnet_layers, on_reference):
+    """Funnel end to end: vector path within 10% of the reference."""
+    scalar_engine = ExplorationEngine(jobs=1)
+    vector_engine = ExplorationEngine(jobs=1)
 
+    @on_reference
     def scalar_path():
-        return scalar_engine.explore_network(alexnet_layers)
+        return scalar_engine.explore_network(
+            alexnet_layers, strategy="funnel")
 
     def vector_path():
-        return vector_engine.explore_network(alexnet_layers)
+        return vector_engine.explore_network(
+            alexnet_layers, strategy="funnel")
 
     # Identical survivors first, then the stopwatch.
     scalar_result = scalar_path()
@@ -109,8 +110,8 @@ def test_funnel_wall_clock_does_not_regress(alexnet_layers):
     print()
     print(format_table(
         ["backend", "best of 5 [s]"],
-        [["funnel, scalar backend", f"{scalar_seconds:.4f}"],
-         ["funnel, vector backend", f"{vector_seconds:.4f}"]],
+        [["funnel, reference loops", f"{scalar_seconds:.4f}"],
+         ["funnel, vector kernel", f"{vector_seconds:.4f}"]],
         title="Funnel strategy end to end (full AlexNet)"))
     print(f"vector/scalar wall-clock ratio: {ratio:.2f}")
     assert vector_seconds <= scalar_seconds * 1.1, (

@@ -82,19 +82,20 @@ def test_controller_dispatch_within_5_percent():
 BLOCKS = 21
 
 
-def test_characterize_dse_path_within_5_percent(alexnet_layers):
+def test_characterize_dse_path_within_5_percent(alexnet_layers,
+                                                on_reference):
     """AlexNet DDR3 characterize+DSE: explicit config vs defaults."""
     device = get_device("ddr3-1600-2gb-x8")
 
+    @on_reference
     def pipeline(controller):
         # A private cache per run so each contender pays the full
         # characterize cost, exactly like a cold process would.  The
-        # scalar evaluation backend keeps the denominator large enough
+        # reference evaluation loop keeps the denominator large enough
         # that this 5% bound measures config threading, not timer
         # noise (the vector kernel is gated in test_perf_eval.py).
         cache = CharacterizationCache()
-        engine = ExplorationEngine(characterization_cache=cache,
-                                   eval_model="scalar")
+        engine = ExplorationEngine(characterization_cache=cache)
         return engine.explore_network(
             alexnet_layers,
             architectures=(DRAMArchitecture.DDR3,),

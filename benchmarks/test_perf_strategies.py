@@ -24,24 +24,28 @@ from repro.workloads import zoo
 from ._timing import interleaved_best_of
 
 
-def test_funnel_5x_faster_than_exhaustive_at_matched_optimum():
+def test_funnel_5x_faster_than_exhaustive_at_matched_optimum(
+        on_reference):
     # Warm the characterization cache: both contenders measure pure
     # exploration, exactly as in a multi-scenario sweep.
     for architecture in ALL_ARCHITECTURES:
         characterize_cached(architecture)
     network = zoo.vgg16()
 
-    # Pinned to the scalar evaluation backend: this gate measures the
-    # *strategy's* search-space reduction, and the vector kernel
+    # Pinned to the reference evaluation loops: this gate measures
+    # the *strategy's* search-space reduction, and the vector kernel
     # (gated separately in test_perf_eval.py) compresses the exact
-    # per-point cost the funnel saves — auto would conflate the two.
-    exhaustive_engine = ExplorationEngine(jobs=1, eval_model="scalar")
-    funnel_engine = ExplorationEngine(jobs=1, strategy="funnel",
-                                      eval_model="scalar")
+    # per-point cost the funnel saves — it would conflate the two.
+    exhaustive_engine = ExplorationEngine(jobs=1)
+    funnel_engine = ExplorationEngine(jobs=1)
+    exhaustive_path = on_reference(
+        lambda: exhaustive_engine.explore_network(network))
+    funnel_path = on_reference(
+        lambda: funnel_engine.explore_network(network, strategy="funnel"))
     # Warm-up pass each (fills the evaluation memos, as in steady
     # state); matched optimum is asserted on the warm-up results.
-    exhaustive = exhaustive_engine.explore_network(network)
-    funnel = funnel_engine.explore_network(network)
+    exhaustive = exhaustive_path()
+    funnel = funnel_path()
 
     assert funnel.best() == exhaustive.best(), \
         "funnel must recover the exhaustive optimum"
@@ -49,9 +53,7 @@ def test_funnel_5x_faster_than_exhaustive_at_matched_optimum():
         "funnel must evaluate >=10x fewer points exactly"
 
     exhaustive_seconds, funnel_seconds = interleaved_best_of(
-        3,
-        lambda: exhaustive_engine.explore_network(network),
-        lambda: funnel_engine.explore_network(network))
+        3, exhaustive_path, funnel_path)
     speedup = exhaustive_seconds / funnel_seconds
 
     print()

@@ -25,29 +25,33 @@ def test_lowering_is_microseconds(benchmark):
     assert len(layers) == 8
 
 
-def test_graph_path_within_5_percent_of_layer_list(alexnet_layers):
+def test_graph_path_within_5_percent_of_layer_list(alexnet_layers,
+                                                   on_reference):
     # Warm the characterization cache so both contenders measure pure
     # exploration.
     for architecture in ALL_ARCHITECTURES:
         characterize_cached(architecture)
     network = zoo.alexnet()
 
-    # Pinned to the scalar evaluation backend: the gate bounds the
+    # Pinned to the reference evaluation loop: the gate bounds the
     # *lowering* overhead as a fraction of the sweep, and the vector
     # kernel (gated in test_perf_eval.py) shrinks the denominator ~8x
     # — a microsecond-level fixed cost would then flake a 5% bound.
-    list_engine = ExplorationEngine(jobs=1, eval_model="scalar")
-    graph_engine = ExplorationEngine(jobs=1, eval_model="scalar")
+    list_engine = ExplorationEngine(jobs=1)
+    graph_engine = ExplorationEngine(jobs=1)
+    direct_path = on_reference(
+        lambda: list_engine.explore_network(alexnet_layers))
+    graph_path = on_reference(
+        lambda: graph_engine.explore_network(network))
     # One warm-up pass each fills the evaluation memos, mirroring how
     # the engines run in steady state; identical output is asserted on
     # the warm-up results.
-    direct_result = list_engine.explore_network(alexnet_layers)
-    graph_result = graph_engine.explore_network(network)
+    direct_result = direct_path()
+    graph_result = graph_path()
     assert graph_result.points == direct_result.points
 
     direct_seconds, graph_seconds = interleaved_best_of(
-        7, lambda: list_engine.explore_network(alexnet_layers),
-        lambda: graph_engine.explore_network(network))
+        7, direct_path, graph_path)
 
     print()
     print(format_table(

@@ -65,11 +65,13 @@ def main() -> None:
             options = {}
             if name == "funnel":
                 options["top_fraction"] = args.funnel_topk / 100.0
-            engine = ExplorationEngine(
-                strategy=name, seed=args.seed,
-                strategy_options=options)
+            # A fresh engine per strategy, so every timing starts from
+            # a cold evaluation cache.
+            engine = ExplorationEngine()
             start = time.perf_counter()
-            results[name] = engine.explore_network(network, device=device)
+            results[name] = engine.explore_network(
+                network, device=device, strategy=name, seed=args.seed,
+                strategy_options=options)
             timings[name] = time.perf_counter() - start
 
         truth = results["exhaustive"].best().edp_js

@@ -354,18 +354,7 @@ def cmd_dse(args: argparse.Namespace) -> int:
     config = _controller(args)
     channel = _contention(args)
     strategy, seed, options = _strategy_options(args)
-    if args.jobs < 0:
-        raise SystemExit(f"--jobs must be >= 0, got {args.jobs}")
-    if args.chunk_size is not None and args.chunk_size <= 0:
-        raise SystemExit(
-            f"--chunk-size must be positive, got {args.chunk_size}")
-    engine = ExplorationEngine(
-        jobs=args.jobs,
-        chunk_size=(args.chunk_size if args.chunk_size is not None
-                    else DEFAULT_CHUNK_SIZE),
-        strategy=strategy,
-        seed=seed,
-        strategy_options=options)
+    engine = ExplorationEngine(jobs=args.jobs, chunk_size=args.chunk_size)
     rows = []
     total = 0.0
     evaluated = 0
@@ -374,7 +363,8 @@ def cmd_dse(args: argparse.Namespace) -> int:
     for layer in _layers(args):
         result = engine.explore_layer(
             layer, architectures=(architecture,), device=device,
-            controller=config, contention=channel)
+            controller=config, contention=channel, strategy=strategy,
+            seed=seed, strategy_options=options)
         best = result.best()
         total += best.edp_js
         evaluated += result.evaluated_points
@@ -694,8 +684,8 @@ def build_parser() -> argparse.ArgumentParser:
              "(1: in-process, 0: one per CPU); results are identical "
              "for every value")
     p_dse.add_argument(
-        "--chunk-size", type=int, default=None,
-        help="grid points per shard (default: 256)")
+        "--chunk-size", type=int, default=DEFAULT_CHUNK_SIZE,
+        help="grid points per shard (default: %(default)s)")
     p_dse.add_argument("--device", default=None,
                        help="device profile name (default: "
                             "ddr3-1600-2gb-x8)")

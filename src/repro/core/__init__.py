@@ -24,12 +24,7 @@ from .engine import (
     ReducedExploration,
     evaluation_cache_stats,
 )
-from .eval_kernel import (
-    EVAL_MODELS,
-    batch_scores,
-    make_chunk_evaluator,
-    validate_eval_model,
-)
+from .eval_kernel import batch_scores
 from .pareto import (
     ObjectivePoint,
     ParetoAccumulator,
@@ -75,7 +70,6 @@ __all__ = [
     "DIM_TO_CONDITION",
     "DsePoint",
     "DseResult",
-    "EVAL_MODELS",
     "EvaluationCache",
     "ExhaustiveStrategy",
     "ExplorationEngine",
@@ -100,7 +94,6 @@ __all__ = [
     "condition_counts",
     "evaluation_cache_stats",
     "get_strategy",
-    "make_chunk_evaluator",
     "register_strategy",
     "format_edp",
     "format_series",
@@ -125,6 +118,5 @@ __all__ = [
     "sweep_precision",
     "sweep_subarrays",
     "sweep_table",
-    "validate_eval_model",
     "walk_cost",
 ]

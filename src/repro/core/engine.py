@@ -31,18 +31,20 @@ intermediate per point.  This module is the scalable replacement:
    Pareto front as they arrive, so arbitrarily large sweeps run in
    memory bounded by the front and the reduction keys, not the point
    count.
-5. **Vectorized chunk evaluation** — ``eval_model="auto"`` (default)
-   evaluates eligible chunks as numpy batches through
-   :mod:`repro.core.eval_kernel` (grid decode, Eq. 2/3 counts and the
-   EDP fold all run as array programs), bit-for-bit identical to the
-   scalar reference loop, which ``eval_model="scalar"`` forces.
-6. **Pluggable search** — the engine drives a registered
+5. **Vectorized chunk evaluation** — every chunk runs as numpy
+   batches through :class:`repro.core.eval_kernel.ChunkEvaluator`
+   (grid decode, Eq. 2/3 counts and the EDP fold all run as array
+   programs); a segment holding a capacity- or wrap-poisoned point
+   falls back to :func:`evaluate_range`, the scalar reference loop
+   the kernel is pinned bit for bit against.
+6. **Pluggable search** — each explore call drives a registered
    :class:`repro.core.strategies.SearchStrategy` (``strategy=`` /
-   ``seed=``) instead of hard-coding the grid walk.  The default
-   ``exhaustive`` strategy reproduces the full sweep byte-identically;
-   ``random`` / ``greedy-refine`` / ``funnel`` trade exact coverage
-   for speed, re-using the same sharded executors, and every
-   :class:`~repro.core.dse.DseResult` records its search provenance.
+   ``seed=`` per call) instead of hard-coding the grid walk.  The
+   default ``exhaustive`` strategy reproduces the full sweep
+   byte-identically; ``random`` / ``greedy-refine`` / ``funnel`` trade
+   exact coverage for speed, re-using the same sharded executor, and
+   every :class:`~repro.core.dse.DseResult` records its search
+   provenance.
 
 Determinism guarantees
 ----------------------
@@ -114,15 +116,11 @@ from ..errors import ConfigurationError, DseError
 from ..mapping.catalog import TABLE1_MAPPINGS
 from ..mapping.counts import TransitionCounts, count_transitions
 from ..mapping.policy import MappingPolicy
-from ..workloads.network import Network, as_layers
+from ..workloads.network import as_layers
 from .adaptive import resolve_adaptive
 from .dse import DsePoint, DseResult
 from .edp import layer_edp
-from .eval_kernel import (
-    iter_layer_segments,
-    make_chunk_evaluator,
-    validate_eval_model,
-)
+from .eval_kernel import ChunkEvaluator, iter_layer_segments
 from .pareto import ObjectivePoint, ParetoAccumulator
 from .strategies import StrategyRun, get_strategy
 
@@ -272,16 +270,6 @@ class ExplorationContext:
     scenario: Scenario
     characterizations: Dict[DRAMArchitecture, CharacterizationResult]
     offsets: Tuple[int, ...]  # layers[i].offset, precomputed for decode
-    #: Workload graph the layers were lowered from, when the caller
-    #: passed a :class:`repro.workloads.Network`; shipped to workers
-    #: with the rest of the context so provenance survives pickling.
-    workload: Optional[Network] = None
-    #: Search strategy driving the exploration (provenance: shipped to
-    #: workers and recorded on the result).
-    strategy: str = "exhaustive"
-    #: Seed of the strategy's randomized choices (``None``: the
-    #: strategy default).
-    seed: Optional[int] = None
 
     @property
     def organization(self) -> DRAMOrganization:
@@ -344,8 +332,6 @@ def _build_context(
     tilings: Optional[Sequence[TilingConfig]],
     characterization_cache: CharacterizationCache,
     scenario: Scenario,
-    strategy: str = "exhaustive",
-    seed: Optional[int] = None,
 ) -> ExplorationContext:
     """Validate the grid and pre-compute everything shards share.
 
@@ -353,9 +339,8 @@ def _build_context(
     set; an explicit sequence must be within it.
 
     ``layers`` may be a :class:`repro.workloads.Network`; it is
-    lowered to the 7-dim loop nests here and kept on the context.
+    lowered to the 7-dim loop nests here.
     """
-    workload = layers if isinstance(layers, Network) else None
     layers = as_layers(layers)
     if not isinstance(buffers, BufferConfig):
         raise ConfigurationError(
@@ -410,9 +395,6 @@ def _build_context(
         scenario=scenario,
         characterizations=characterizations,
         offsets=tuple(grid.offset for grid in grids),
-        workload=workload,
-        strategy=strategy,
-        seed=seed,
     )
 
 
@@ -420,30 +402,39 @@ def _build_context(
 # Shard evaluation (runs inside workers and on the serial path)
 # ----------------------------------------------------------------------
 
-#: Per-process worker state: (context, evaluation cache, chunk
-#: evaluator resolved from the engine's ``eval_model``).
-_WORKER_STATE: Optional[Tuple[ExplorationContext, EvaluationCache,
-                              Callable]] = None
+#: Per-process worker state: (evaluation cache, chunk evaluator).
+_WORKER_STATE: Optional[Tuple[EvaluationCache, ChunkEvaluator]] = None
 
 
-def _init_worker(context: ExplorationContext,
-                 eval_model: str = "scalar") -> None:
+def _chunk_evaluator(
+    context: ExplorationContext,
+    cache: EvaluationCache,
+) -> ChunkEvaluator:
+    """The vector chunk evaluator, falling back to :func:`evaluate_range`."""
+    return ChunkEvaluator(context, cache,
+                          partial(evaluate_range, context, cache))
+
+
+def _init_worker(context: ExplorationContext) -> None:
     """Pool initializer: install the shared context in this process."""
     global _WORKER_STATE
     cache = EvaluationCache()
-    evaluator = make_chunk_evaluator(
-        context, cache, eval_model,
-        partial(_evaluate_range, context, cache))
-    _WORKER_STATE = (context, cache, evaluator)
+    _WORKER_STATE = (cache, _chunk_evaluator(context, cache))
 
 
-def _evaluate_range(
+def evaluate_range(
     context: ExplorationContext,
     cache: EvaluationCache,
     start: int,
     stop: int,
 ) -> List[DsePoint]:
-    """Evaluate the flattened grid indices ``[start, stop)`` in order."""
+    """Evaluate the flattened grid indices ``[start, stop)`` in order.
+
+    The scalar reference loop: one :func:`~repro.core.edp.layer_edp`
+    per point.  The engine runs it for single-point probes and for
+    the poisoned segments the vector kernel hands back; differential
+    tests and ratio gates call it directly as the baseline.
+    """
     points: List[DsePoint] = []
     for index in range(start, stop):
         layer, architecture, scheme, policy, tiling = context.decode(index)
@@ -475,7 +466,7 @@ def _run_chunk(
     memory.
     """
     assert _WORKER_STATE is not None, "worker initializer did not run"
-    _context, cache, evaluator = _WORKER_STATE
+    cache, evaluator = _WORKER_STATE
     start, stop = chunk
     before = cache.stats
     points = evaluator(start, stop)
@@ -611,28 +602,9 @@ class ExplorationEngine:
         process-wide shared cache.
     progress:
         Optional :data:`ProgressCallback` invoked after every chunk.
-    strategy:
-        Default search strategy for this engine's explorations: a
-        registered name (see
-        :func:`repro.core.strategies.strategy_names`) or a pre-built
-        :class:`~repro.core.strategies.SearchStrategy`.  The default
-        ``"exhaustive"`` evaluates the full grid, byte-identical to
-        the pre-strategy engine.
-    seed:
-        Default seed for randomized strategies (``None``: the
-        strategy's deterministic default, 0).
-    strategy_options:
-        Keyword options for the default strategy (e.g.
-        ``{"top_fraction": 0.02}`` for ``funnel``); must be omitted
-        when ``strategy`` is a pre-built instance (configure the
-        instance directly instead).
-    eval_model:
-        Chunk-evaluation backend: ``"auto"`` (default) evaluates
-        eligible chunks with the vectorized kernel of
-        :mod:`repro.core.eval_kernel` and falls back to the scalar
-        loop otherwise; ``"scalar"`` forces the reference per-point
-        loop, the baseline of differential tests and ratio gates.
-        Results are bit-for-bit identical across both.
+
+    The engine holds how to run; what to search — the strategy, its
+    seed and options — is chosen per explore call.
 
     Example
     -------
@@ -650,48 +622,25 @@ class ExplorationEngine:
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         characterization_cache: Optional[CharacterizationCache] = None,
         progress: Optional[ProgressCallback] = None,
-        strategy="exhaustive",
-        seed: Optional[int] = None,
-        strategy_options: Optional[Dict] = None,
-        eval_model: str = "auto",
     ) -> None:
         if jobs is None or jobs == 0:
             jobs = os.cpu_count() or 1
         if jobs < 0:
-            raise ValueError(f"jobs must be non-negative, got {jobs}")
-        if chunk_size <= 0:
-            raise ValueError(
-                f"chunk_size must be positive, got {chunk_size}")
+            raise ConfigurationError(
+                f"jobs must be >= 0 (0: one worker per CPU), got {jobs}")
+        if chunk_size < 1:
+            raise ConfigurationError(
+                f"chunk_size must be >= 1, got {chunk_size}")
         self.jobs = jobs
         self.chunk_size = chunk_size
-        self.eval_model = validate_eval_model(eval_model)
         self.characterization_cache = (
             characterization_cache
             if characterization_cache is not None
             else DEFAULT_CHARACTERIZATION_CACHE)
         self.progress = progress
-        self.strategy = strategy
-        self.seed = seed
-        self.strategy_options = dict(strategy_options or {})
-        # Fail fast on unknown names / bad options.
-        get_strategy(self.strategy, **self.strategy_options)
         #: Serial-path evaluation memo; persists across explore calls
         #: so network-level sweeps reuse layer-level intermediates.
         self.evaluation_cache = EvaluationCache()
-
-    def _resolve_strategy(
-        self,
-        strategy,
-        seed: Optional[int],
-        strategy_options: Optional[Dict],
-    ):
-        """Per-call strategy resolution (``None`` = engine default)."""
-        if strategy is None:
-            strategy = self.strategy
-            if strategy_options is None:
-                strategy_options = self.strategy_options
-        resolved = get_strategy(strategy, **(strategy_options or {}))
-        return resolved, (self.seed if seed is None else seed)
 
     # -- public API ----------------------------------------------------
 
@@ -707,7 +656,7 @@ class ExplorationEngine:
         device: Optional[DeviceProfile] = None,
         controller: Optional[ControllerConfig] = None,
         contention: Optional[ContentionConfig] = None,
-        strategy=None,
+        strategy="exhaustive",
         seed: Optional[int] = None,
         strategy_options: Optional[Dict] = None,
     ) -> DseResult:
@@ -731,7 +680,7 @@ class ExplorationEngine:
         device: Optional[DeviceProfile] = None,
         controller: Optional[ControllerConfig] = None,
         contention: Optional[ContentionConfig] = None,
-        strategy=None,
+        strategy="exhaustive",
         seed: Optional[int] = None,
         strategy_options: Optional[Dict] = None,
     ) -> DseResult:
@@ -739,8 +688,8 @@ class ExplorationEngine:
 
         ``layers`` is a ``Sequence[ConvLayer]`` or a
         :class:`repro.workloads.Network` — a network lowers to its
-        7-dim loop nests (traffic-only ops contribute no grid points)
-        and rides along in the pickled context.  ``device`` selects
+        7-dim loop nests (traffic-only ops contribute no grid
+        points).  ``device`` selects
         the DRAM device profile (default: the paper's Table-II
         device); every architecture in ``architectures`` must be in
         its capability set.  ``controller`` selects the
@@ -748,14 +697,14 @@ class ExplorationEngine:
         measured under (default: the paper's FCFS/open-row) and
         ``contention`` the channel contention (default: one
         uncontended requestor).
-        ``strategy`` / ``seed`` / ``strategy_options`` override the
-        engine's search strategy for this call; under the default
-        exhaustive strategy the returned points are in the serial
+        ``strategy`` / ``seed`` / ``strategy_options`` choose the
+        search (see :func:`repro.core.strategies.get_strategy`); under
+        the default exhaustive strategy the returned points are in the serial
         nested-loop order regardless of ``jobs``, and subset
         strategies return their evaluated points in the same order.
         The result records the strategy, seed and evaluation counts.
         """
-        search, run, shard_iter = self._start(
+        run, shard_iter = self._start(
             layers, architectures, schemes, policies, buffers, tilings,
             Scenario.of(device, organization, controller, contention),
             strategy, seed, strategy_options)
@@ -790,7 +739,7 @@ class ExplorationEngine:
         device: Optional[DeviceProfile] = None,
         controller: Optional[ControllerConfig] = None,
         contention: Optional[ContentionConfig] = None,
-        strategy=None,
+        strategy="exhaustive",
         seed: Optional[int] = None,
         strategy_options: Optional[Dict] = None,
     ) -> ReducedExploration:
@@ -802,7 +751,7 @@ class ExplorationEngine:
         search strategy (shards stream into the reduction as they
         arrive).
         """
-        _search, run, shard_iter = self._start(
+        run, shard_iter = self._start(
             layers, architectures, schemes, policies, buffers, tilings,
             Scenario.of(device, organization, controller, contention),
             strategy, seed, strategy_options)
@@ -845,107 +794,53 @@ class ExplorationEngine:
     ):
         """Common front half of the explore methods.
 
-        Resolves the strategy, builds the context (with strategy
-        provenance embedded) and returns ``(strategy, run,
-        shard_iterator)``.
+        Resolves the strategy — before anything is built, so a bad
+        name or option fails fast — then builds the context and
+        returns ``(run, shard_iterator)``.
         """
-        search, run_seed = self._resolve_strategy(
-            strategy, seed, strategy_options)
+        search = get_strategy(strategy, **(strategy_options or {}))
         context = _build_context(
             layers, architectures, schemes, policies, buffers, tilings,
-            self.characterization_cache, scenario,
-            strategy=search.name, seed=run_seed)
+            self.characterization_cache, scenario)
         run = StrategyRun(
             strategy=search.name,
-            seed=run_seed,
+            seed=seed,
             total_points=context.total_points,
         )
-        return search, run, search.shards(self, context, run)
+        return run, search.shards(self, context, run)
 
     # -- scheduling ----------------------------------------------------
 
-    def _chunks(
+    def _evaluate_ranges(
         self,
         context: ExplorationContext,
-    ) -> Iterator[Tuple[int, int]]:
-        """Layer-aligned chunking of the full grid.
-
-        Chunk boundaries snap to the ``points_in_layer`` slices: a
-        chunk never straddles two layers, so the vector kernel
-        evaluates every chunk as one batch instead of splitting it
-        (and re-gathering tables) at each straddle.  Points and their
-        order are unchanged — only the grouping differs.
-        """
-        for _position, seg_start, seg_stop in iter_layer_segments(
-                context, 0, context.total_points):
-            for start in range(seg_start, seg_stop, self.chunk_size):
-                yield start, min(start + self.chunk_size, seg_stop)
-
-    def _shard_results(
-        self,
-        context: ExplorationContext,
-        run: Optional[StrategyRun] = None,
+        ranges: Sequence[Tuple[int, int]],
+        run: StrategyRun,
     ) -> Iterator[Tuple[int, List[DsePoint]]]:
-        """Yield ``(start, points)`` for the full grid, ticking progress.
+        """Evaluate the grid index ranges ``[(start, stop), ...]``.
 
-        The exhaustive strategy's executor — byte-identical shard
-        order and contents to the pre-strategy engine.
+        Yields ``(start, points)`` shards, ticking progress after each.
+        Every range is split at layer boundaries — a shard never
+        straddles two layers, so the vector kernel evaluates it as one
+        batch — and at ``chunk_size``; shards run in-process or on the
+        process pool.  Exhaustive search passes ``[(0, total)]``,
+        subset strategies their coalesced index runs; progress totals
+        count the ranges, not the grid.  Worker evaluation-cache
+        deltas are folded into ``run`` (the serial path's cache
+        activity is accounted once per exploration by the explore
+        methods instead).
         """
-        total = context.total_points
-        total_chunks = sum(
-            -(-context.points_in_layer(position) // self.chunk_size)
-            for position in range(len(context.layers)))
-        return self._execute_shards(
-            context, self._chunks(context), total, total_chunks, run)
-
-    def _evaluate_selected(
-        self,
-        context: ExplorationContext,
-        indices: Sequence[int],
-        run: Optional[StrategyRun] = None,
-    ) -> Iterator[Tuple[int, List[DsePoint]]]:
-        """Yield shards covering exactly ``indices`` (sorted, unique).
-
-        Consecutive indices coalesce into contiguous ``(start, stop)``
-        ranges, split at layer boundaries (so the vector kernel gets
-        single-layer batches) and at ``chunk_size``, and run through
-        the same serial / process-pool machinery as the full grid —
-        so subset strategies inherit ``jobs`` parallelism and progress
-        streaming (progress totals count the selection, not the
-        grid).
-        """
-        shards: List[Tuple[int, int]] = []
-        position = 0
-        while position < len(indices):
-            stop = position + 1
-            while stop < len(indices) \
-                    and indices[stop] == indices[stop - 1] + 1:
-                stop += 1
-            start_index = indices[position]
-            stop_index = indices[stop - 1] + 1
-            for _pos, seg_start, seg_stop in iter_layer_segments(
-                    context, start_index, stop_index):
-                for piece in range(seg_start, seg_stop, self.chunk_size):
-                    shards.append(
-                        (piece, min(piece + self.chunk_size, seg_stop)))
-            position = stop
-        return self._execute_shards(
-            context, iter(shards), len(indices), len(shards), run)
-
-    def _execute_shards(
-        self,
-        context: ExplorationContext,
-        shards: Iterator[Tuple[int, int]],
-        total_points: int,
-        total_chunks: int,
-        run: Optional[StrategyRun] = None,
-    ) -> Iterator[Tuple[int, List[DsePoint]]]:
-        """Evaluate ``(start, stop)`` shards, ticking progress.
-
-        Worker evaluation-cache deltas are folded into ``run`` (the
-        serial path's cache activity is accounted once per exploration
-        by the explore methods instead).
-        """
+        chunk_size = self.chunk_size
+        planned = [
+            (piece, min(piece + chunk_size, seg_stop))
+            for start, stop in ranges
+            for _position, seg_start, seg_stop in iter_layer_segments(
+                context, start, stop)
+            for piece in range(seg_start, seg_stop, chunk_size)
+        ]
+        total_points = sum(stop - start for start, stop in ranges)
+        total_chunks = len(planned)
+        shards = iter(planned)
         completed_points = 0
         completed_chunks = 0
         best_edp: Optional[float] = None
@@ -967,9 +862,7 @@ class ExplorationEngine:
                 ))
 
         if self.jobs == 1:
-            evaluator = make_chunk_evaluator(
-                context, self.evaluation_cache, self.eval_model,
-                partial(_evaluate_range, context, self.evaluation_cache))
+            evaluator = _chunk_evaluator(context, self.evaluation_cache)
             for start, stop in shards:
                 points = evaluator(start, stop)
                 tick(points)
@@ -982,7 +875,7 @@ class ExplorationEngine:
         with ProcessPoolExecutor(
                 max_workers=self.jobs,
                 initializer=_init_worker,
-                initargs=(context, self.eval_model)) as pool:
+                initargs=(context,)) as pool:
             pending = set()
             window = self.jobs * 4
             for chunk in itertools.islice(shards, window):
@@ -991,9 +884,8 @@ class ExplorationEngine:
                 done, pending = wait(pending, return_when=FIRST_COMPLETED)
                 for future in done:
                     start, points, cache_delta = future.result()
-                    if run is not None:
-                        run.cache_hits += cache_delta[0]
-                        run.cache_misses += cache_delta[1]
+                    run.cache_hits += cache_delta[0]
+                    run.cache_misses += cache_delta[1]
                     tick(points)
                     yield start, points
                 for chunk in itertools.islice(shards, len(done)):
@@ -1005,16 +897,16 @@ class ExplorationEngine:
         Returns ``evaluate(index) -> DsePoint`` with an ``evaluate.cache``
         dict of every point evaluated so far — the probe primitive of
         adaptive strategies (``greedy-refine``), which evaluate points
-        one at a time as the search unfolds.  Single-point probes stay
-        on the scalar path regardless of ``eval_model`` (a one-point
-        batch would pay the kernel's table gather for nothing).
+        one at a time as the search unfolds.  Single-point probes run
+        :func:`evaluate_range` (a one-point batch would pay the
+        kernel's table gather for nothing).
         """
         cache: Dict[int, DsePoint] = {}
 
         def evaluate(index: int) -> DsePoint:
             point = cache.get(index)
             if point is None:
-                point = _evaluate_range(
+                point = evaluate_range(
                     context, self.evaluation_cache, index, index + 1)[0]
                 cache[index] = point
             return point

@@ -1,10 +1,11 @@
 """Vectorized chunk evaluation of the Algorithm-1 grid.
 
-The engine's scalar path evaluates one flattened grid index at a time:
-decode the index, look up traffic, compute the Eq. 2/3 transition
-counts, multiply by the Fig.-1 per-condition costs, wrap a
-:class:`~repro.core.edp.LayerEDP`.  This module evaluates a whole
-contiguous index range as numpy batches instead:
+The scalar reference loop (:func:`repro.core.engine.evaluate_range`)
+evaluates one flattened grid index at a time: decode the index, look
+up traffic, compute the Eq. 2/3 transition counts, multiply by the
+Fig.-1 per-condition costs, wrap a :class:`~repro.core.edp.LayerEDP`.
+The engine evaluates every chunk through this module instead, as
+numpy batches over a whole contiguous index range:
 
 1. **Decode as array arithmetic** — the ``tiling x policy x scheme x
    architecture`` divmod chain of
@@ -26,7 +27,7 @@ contiguous index range as numpy batches instead:
 Bit-for-bit identity with the scalar path
 -----------------------------------------
 The kernel is *not* allowed to be "numerically close": every
-``DsePoint`` float must equal the scalar path's bit for bit, so
+``DsePoint`` float must equal the reference loop's bit for bit, so
 argmins, reduced merges and Pareto fronts are literally the same
 objects.  Three facts make that achievable:
 
@@ -50,20 +51,19 @@ over the batch.
 
 Eligibility and fallback
 ------------------------
-``eval_model="auto"`` (the default) vectorizes every chunk the
-closed-form Eq. 2/3 model backs — which today is every chunk the
-engine produces (the walk-based and cycle-replay backends of
-:mod:`repro.core.walk_edp` are higher-fidelity *validation* paths, not
-engine backends; adaptive reuse is resolved per ``(layer, tiling,
-scheme)`` at table-build time through the same memo the scalar path
-uses).  A segment falls back to
-the scalar loop only when it contains a *poisoned* point: a run
-longer than the DRAM capacity (the scalar path raises
-:class:`~repro.errors.CapacityError` there, and the fallback raises
-it identically) or a run long enough to wrap the rank/channel loops
-(where merge order becomes data-dependent; never the case for
-tile-sized runs).  ``eval_model="scalar"`` forces the reference loop,
-which differential tests and ratio gates use as the baseline.
+There is one evaluation path, and the per-segment poison mask is its
+only selector.  Every chunk goes through :class:`ChunkEvaluator` (the
+walk-based and cycle-replay backends of :mod:`repro.core.walk_edp` are
+higher-fidelity *validation* paths, not engine backends; adaptive
+reuse is resolved per ``(layer, tiling, scheme)`` at table-build time
+through the same memo the reference loop uses).  A within-layer
+segment falls back to the reference loop only when it contains a
+*poisoned* point: a run longer than the DRAM capacity (the reference
+raises :class:`~repro.errors.CapacityError` there, and the fallback
+raises it identically) or a run long enough to wrap the rank/channel
+loops (where merge order becomes data-dependent; never the case for
+tile-sized runs).  Differential tests and ratio gates call the
+reference loop directly as the baseline.
 """
 
 from __future__ import annotations
@@ -74,7 +74,6 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from ..dram.architecture import DRAMArchitecture
-from ..errors import DseError
 from ..mapping.counts import count_transitions_batch
 from ..mapping.dims import Dim
 from .conditions import (
@@ -85,21 +84,9 @@ from .conditions import (
 from .dse import DsePoint
 from .edp import LayerEDP
 
-#: Recognized ``eval_model`` values.
-EVAL_MODELS = ("auto", "scalar")
-
-#: ``Callable[[start, stop], List[DsePoint]]`` — what the engine's
-#: shard executors call per chunk.
+#: ``Callable[[start, stop], List[DsePoint]]`` — the reference loop a
+#: :class:`ChunkEvaluator` falls back to.
 ChunkFn = Callable[[int, int], List[DsePoint]]
-
-
-def validate_eval_model(eval_model: str) -> str:
-    """Validate an ``eval_model`` knob value, returning it unchanged."""
-    if eval_model not in EVAL_MODELS:
-        choices = ", ".join(EVAL_MODELS)
-        raise DseError(
-            f"unknown eval_model {eval_model!r}; choose from: {choices}")
-    return eval_model
 
 
 # ----------------------------------------------------------------------
@@ -406,24 +393,12 @@ class ChunkEvaluator:
         return points
 
 
-def make_chunk_evaluator(context, cache, eval_model: str,
-                         scalar_fallback: ChunkFn) -> ChunkFn:
-    """Resolve the ``eval_model`` knob into a chunk-evaluation callable.
-
-    ``"scalar"`` returns ``scalar_fallback`` unchanged; ``"auto"``
-    returns a :class:`ChunkEvaluator`.
-    """
-    if validate_eval_model(eval_model) == "scalar":
-        return scalar_fallback
-    return ChunkEvaluator(context, cache, scalar_fallback)
-
-
 # ----------------------------------------------------------------------
 # Batched analytical scoring (the funnel's prune phase)
 # ----------------------------------------------------------------------
 
 def batch_scores(context, cache) -> Optional[List[float]]:
-    """Vectorized :func:`repro.core.strategies.analytical_scores`.
+    """Vectorized :func:`repro.core.strategies.reference_analytical_scores`.
 
     Same per-layer tables as the exact kernel, but folded with the
     closed-form analytical characterization instead of the simulator's
@@ -431,7 +406,7 @@ def batch_scores(context, cache) -> Optional[List[float]]:
     ``(energy * cycles) * tck_ns`` per point, replicating the scalar
     scoring loop's accumulation order term for term.  Returns ``None``
     when the grid holds a poisoned length, so the caller can use the
-    scalar loop.
+    reference loop.
     """
     from ..dram.analytical import analytical_characterization
 

@@ -30,8 +30,7 @@ work with every strategy unchanged.  All strategies are deterministic:
 randomized ones derive their choices from the run's ``seed`` (default
 0), which is recorded — together with the strategy name and the
 evaluation counts — in the returned
-:class:`~repro.core.dse.DseResult` and the pickled
-:class:`~repro.core.engine.ExplorationContext`.
+:class:`~repro.core.dse.DseResult`.
 
 Example
 -------
@@ -57,6 +56,7 @@ from typing import Dict, Iterator, List, Optional, Tuple, Type
 from ..errors import ConfigurationError
 from .conditions import condition_counts
 from .dse import DsePoint
+from .eval_kernel import batch_scores
 
 #: Default sampled fraction of the ``random`` strategy.
 DEFAULT_RANDOM_FRACTION = 0.05
@@ -138,7 +138,8 @@ class ExhaustiveStrategy(SearchStrategy):
                "pre-strategy engine (the default)")
 
     def shards(self, engine, context, run):
-        return engine._shard_results(context, run)
+        return engine._evaluate_ranges(
+            context, [(0, context.total_points)], run)
 
 
 class RandomStrategy(SearchStrategy):
@@ -165,7 +166,7 @@ class RandomStrategy(SearchStrategy):
         count = max(math.ceil(total * self.fraction),
                     min(MIN_SAMPLE_POINTS, total))
         indices = sorted(self._rng(run).sample(range(total), count))
-        return engine._evaluate_selected(context, indices, run)
+        return engine._evaluate_ranges(context, _index_runs(indices), run)
 
 
 class GreedyRefineStrategy(SearchStrategy):
@@ -264,9 +265,7 @@ class FunnelStrategy(SearchStrategy):
         self.top_fraction = top_fraction
 
     def shards(self, engine, context, run):
-        scores = analytical_scores(
-            context, engine.evaluation_cache,
-            eval_model=engine.eval_model)
+        scores = analytical_scores(context, engine.evaluation_cache)
         run.scored_points = len(scores)
         indices: List[int] = []
         for position, grid in enumerate(context.layers):
@@ -282,15 +281,26 @@ class FunnelStrategy(SearchStrategy):
                 ranked = sorted(block_range,
                                 key=lambda i: (scores[i], i))
                 indices.extend(ranked[:keep])
-        return engine._evaluate_selected(context, sorted(indices), run)
+        return engine._evaluate_ranges(
+            context, _index_runs(sorted(indices)), run)
+
+
+def _index_runs(indices: List[int]) -> List[Tuple[int, int]]:
+    """Coalesce sorted, unique grid indices into ``(start, stop)`` runs."""
+    runs: List[Tuple[int, int]] = []
+    for index in indices:
+        if runs and runs[-1][1] == index:
+            runs[-1] = (runs[-1][0], index + 1)
+        else:
+            runs.append((index, index + 1))
+    return runs
 
 
 # ----------------------------------------------------------------------
 # Analytical scoring of a whole context
 # ----------------------------------------------------------------------
 
-def analytical_scores(context, cache,
-                      eval_model: str = "auto") -> List[float]:
+def analytical_scores(context, cache) -> List[float]:
     """Closed-form EDP score of every grid point, in grid order.
 
     Scores share the exact evaluation's structure — per-data-type
@@ -304,19 +314,24 @@ def analytical_scores(context, cache,
     traffic / adaptive-scheme / transition-count memos it fills here
     are the same ones the exact phase reuses afterwards.
 
-    ``eval_model`` mirrors the engine knob: unless ``"scalar"``, the
-    whole pass runs through the batched kernel
+    The pass runs through the batched kernel
     (:func:`repro.core.eval_kernel.batch_scores`) — so the funnel's
-    prune and verify phases both go wide — with the scalar loop below
-    as the bit-identical fallback for grids holding a poisoned run
-    length.
+    prune and verify phases both go wide — with
+    :func:`reference_analytical_scores` as the bit-identical fallback
+    for grids holding a poisoned run length.
     """
-    if eval_model != "scalar":
-        from .eval_kernel import batch_scores
+    batched = batch_scores(context, cache)
+    if batched is not None:
+        return batched
+    return reference_analytical_scores(context, cache)
 
-        batched = batch_scores(context, cache)
-        if batched is not None:
-            return batched
+
+def reference_analytical_scores(context, cache) -> List[float]:
+    """Scalar reference loop of :func:`analytical_scores`.
+
+    Differential tests and ratio gates call it directly as the
+    baseline the batched kernel is pinned bit for bit against.
+    """
     from ..dram.analytical import analytical_characterization
 
     characterizations = {

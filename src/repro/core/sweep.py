@@ -100,7 +100,7 @@ def sweep_subarrays(
     device: Optional[DeviceProfile] = None,
     controller: Optional[ControllerConfig] = None,
     contention: Optional[ContentionConfig] = None,
-    strategy=None,
+    strategy="exhaustive",
     seed: Optional[int] = None,
 ) -> List[SweepPoint]:
     """EDP vs subarrays-per-bank.
@@ -128,7 +128,7 @@ def sweep_buffers(
     device: Optional[DeviceProfile] = None,
     controller: Optional[ControllerConfig] = None,
     contention: Optional[ContentionConfig] = None,
-    strategy=None,
+    strategy="exhaustive",
     seed: Optional[int] = None,
 ) -> List[SweepPoint]:
     """EDP vs on-chip buffer capacity (all three buffers together)."""
@@ -154,7 +154,7 @@ def sweep_precision(
     device: Optional[DeviceProfile] = None,
     controller: Optional[ControllerConfig] = None,
     contention: Optional[ContentionConfig] = None,
-    strategy=None,
+    strategy="exhaustive",
     seed: Optional[int] = None,
 ) -> List[SweepPoint]:
     """EDP vs data precision (int8 / fp16 / fp32 footprints).
@@ -179,7 +179,7 @@ def sweep_batch(
     device: Optional[DeviceProfile] = None,
     controller: Optional[ControllerConfig] = None,
     contention: Optional[ContentionConfig] = None,
-    strategy=None,
+    strategy="exhaustive",
     seed: Optional[int] = None,
 ) -> List[SweepPoint]:
     """EDP vs batch size (activations scale, weights amortize)."""
@@ -202,7 +202,7 @@ def sweep_network_batch(
     buffers: BufferConfig = TABLE2_BUFFERS,
     controller: Optional[ControllerConfig] = None,
     contention: Optional[ContentionConfig] = None,
-    strategy=None,
+    strategy="exhaustive",
     seed: Optional[int] = None,
 ) -> List[SweepPoint]:
     """Network EDP vs batch size over a whole workload graph.

@@ -215,12 +215,13 @@ class TestCaching:
         assert cache.get(DRAMArchitecture.DDR3) is not None
         assert cache.stats.misses == 3
 
-    def test_evaluation_cache_reused_across_points(self, tiny_layer):
-        # Pinned to the scalar backend: the vectorized kernel touches
+    def test_evaluation_cache_reused_across_points(self, tiny_layer,
+                                                  on_reference):
+        # Pinned to the reference loop: the vectorized kernel touches
         # each memo key once per table build, so hit counts there say
         # nothing about per-point reuse.
-        engine = ExplorationEngine(jobs=1, eval_model="scalar")
-        engine.explore_layer(tiny_layer)
+        engine = ExplorationEngine(jobs=1)
+        on_reference(engine.explore_layer)(tiny_layer)
         counts = engine.evaluation_cache.counts_memo
         traffic = engine.evaluation_cache.traffic_memo
         # 24 (arch x scheme x policy)-fold reuse of per-tiling work
@@ -297,11 +298,12 @@ class TestValidation:
             ExplorationEngine().explore_layer(tiny_layer, **{axis: ()})
 
     def test_bad_jobs_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match=r"jobs must be >= 0"):
             ExplorationEngine(jobs=-1)
 
     def test_bad_chunk_size_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError,
+                           match=r"chunk_size must be >= 1"):
             ExplorationEngine(chunk_size=0)
 
     def test_jobs_zero_means_all_cpus(self):

@@ -7,11 +7,19 @@ had indirect coverage; this module pins them directly.
 
 import pytest
 
+from repro.cnn.scheduling import ALL_SCHEMES
+from repro.cnn.tiling import TABLE2_BUFFERS
 from repro.core.engine import (
+    EvaluationCache,
     ExplorationEngine,
     ExplorationProgress,
+    ReducedExploration,
+    _build_context,
+    evaluate_range,
 )
 from repro.dram.architecture import DRAMArchitecture
+from repro.dram.characterize import DEFAULT_CHARACTERIZATION_CACHE
+from repro.dram.scenario import Scenario
 from repro.mapping.catalog import TABLE1_MAPPINGS
 from repro.workloads import get_workload
 
@@ -33,6 +41,17 @@ def _reduced_snapshot(reduced):
             for key, point in reduced.best_by_key.items()}
     front = [(p.energy_nj, p.latency_ns) for p in reduced.pareto.front()]
     return reduced.total_points, best, front
+
+
+def _reference_reduced(layers):
+    """The whole grid through the scalar reference loop, reduced."""
+    context = _build_context(
+        layers, None, ALL_SCHEMES, TABLE1_MAPPINGS, TABLE2_BUFFERS, None,
+        DEFAULT_CHARACTERIZATION_CACHE, Scenario.of())
+    reduced = ReducedExploration()
+    reduced.absorb(0, evaluate_range(
+        context, EvaluationCache(), 0, context.total_points))
+    return reduced
 
 
 class TestReducedMergeDeterminism:
@@ -73,55 +92,53 @@ class TestReducedMergeDeterminism:
         assert _reduced_snapshot(wide) == _reduced_snapshot(narrow)
 
     def test_strategy_reduction_parallel_matches_serial(self, tiny_layer):
-        serial = ExplorationEngine(jobs=1, strategy="funnel") \
-            .explore_reduced([tiny_layer])
-        parallel = ExplorationEngine(jobs=2, chunk_size=7,
-                                     strategy="funnel") \
-            .explore_reduced([tiny_layer])
+        serial = ExplorationEngine(jobs=1) \
+            .explore_reduced([tiny_layer], strategy="funnel")
+        parallel = ExplorationEngine(jobs=2, chunk_size=7) \
+            .explore_reduced([tiny_layer], strategy="funnel")
         assert _reduced_snapshot(parallel) == _reduced_snapshot(serial)
 
 
 class TestVectorBackendStreaming:
-    """The vector backend must leave every streaming invariant intact."""
+    """The vector kernel must leave every streaming invariant intact."""
 
     def test_parallel_vector_equals_serial_scalar(self, two_conv_layers):
-        scalar = ExplorationEngine(jobs=1, eval_model="scalar") \
+        reference = _reference_reduced(two_conv_layers)
+        vector = ExplorationEngine(jobs=2, chunk_size=157) \
             .explore_reduced(two_conv_layers)
-        vector = ExplorationEngine(jobs=2, chunk_size=157,
-                                   eval_model="auto") \
-            .explore_reduced(two_conv_layers)
-        assert _reduced_snapshot(vector) == _reduced_snapshot(scalar)
+        assert _reduced_snapshot(vector) == _reduced_snapshot(reference)
 
     def test_vector_chunk_size_invariance(self, tiny_layer):
-        wide = ExplorationEngine(jobs=2, chunk_size=1000,
-                                 eval_model="auto") \
+        wide = ExplorationEngine(jobs=1, chunk_size=1000) \
             .explore_reduced([tiny_layer])
-        narrow = ExplorationEngine(jobs=2, chunk_size=5,
-                                   eval_model="auto") \
+        narrow = ExplorationEngine(jobs=1, chunk_size=5) \
             .explore_reduced([tiny_layer])
         assert _reduced_snapshot(wide) == _reduced_snapshot(narrow)
 
     def test_vector_pareto_front_bitwise_equal(self, two_conv_layers):
-        scalar = ExplorationEngine(jobs=1, eval_model="scalar") \
+        reference = _reference_reduced(two_conv_layers)
+        vector = ExplorationEngine(jobs=2, chunk_size=61) \
             .explore_reduced(two_conv_layers)
-        vector = ExplorationEngine(jobs=2, chunk_size=61,
-                                   eval_model="auto") \
-            .explore_reduced(two_conv_layers)
-        scalar_front = scalar.pareto.front()
+        reference_front = reference.pareto.front()
         vector_front = vector.pareto.front()
-        assert len(vector_front) == len(scalar_front)
-        for ours, theirs in zip(vector_front, scalar_front):
+        assert len(vector_front) == len(reference_front)
+        for ours, theirs in zip(vector_front, reference_front):
             assert ours.energy_nj.hex() == theirs.energy_nj.hex()
             assert ours.latency_ns.hex() == theirs.latency_ns.hex()
 
-    def test_vector_progress_accounting_is_exact(self, tiny_layer):
+    def test_vector_progress_accounting_is_exact(self):
+        # Two layers: shards restart at the layer boundary, so the
+        # chunk total is per-layer, not over the flat grid.
+        layers = get_workload("tiny").lower()
         snapshots = []
         engine = ExplorationEngine(jobs=2, chunk_size=10,
-                                   eval_model="auto",
                                    progress=snapshots.append)
-        result = engine.explore_network([tiny_layer])
-        expected_chunks = -(-result.total_points // 10)
+        result = engine.explore_network(layers)
+        expected_chunks = sum(
+            -(-len(result.filtered(layer_name=layer.name)) // 10)
+            for layer in layers)
         assert len(snapshots) == expected_chunks
+        assert snapshots[-1].total_chunks == expected_chunks
         assert snapshots[-1].completed_points == result.total_points
 
 
@@ -129,12 +146,11 @@ class TestProgressUnderParallelism:
     """Chunk accounting must be exact with a worker pool."""
 
     def _explore_with_progress(self, layers, jobs, chunk_size,
-                               **engine_kwargs):
+                               **explore_kwargs):
         snapshots = []
         engine = ExplorationEngine(
-            jobs=jobs, chunk_size=chunk_size,
-            progress=snapshots.append, **engine_kwargs)
-        result = engine.explore_network(layers)
+            jobs=jobs, chunk_size=chunk_size, progress=snapshots.append)
+        result = engine.explore_network(layers, **explore_kwargs)
         return result, snapshots
 
     def test_callback_count_equals_chunk_count(self, tiny_layer):

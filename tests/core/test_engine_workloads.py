@@ -19,23 +19,17 @@ def _context_for(workload):
 
 
 class TestContextWorkload:
-    def test_network_rides_in_context(self):
-        net = zoo.tiny()
-        context = _context_for(net)
-        assert context.workload is net
+    def test_network_lowers_into_the_context(self):
+        context = _context_for(zoo.tiny())
         assert [grid.layer.name for grid in context.layers] \
             == ["TINY_CONV", "TINY_FC"]
-
-    def test_layer_list_leaves_workload_unset(self):
-        context = _context_for(zoo.tiny().lower())
-        assert context.workload is None
 
     def test_context_with_network_pickles(self):
         import pickle
 
         context = _context_for(zoo.tiny())
         clone = pickle.loads(pickle.dumps(context))
-        assert clone.workload.name == "tiny"
+        assert clone.layers == context.layers
         assert clone.total_points == context.total_points
 
 

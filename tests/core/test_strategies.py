@@ -82,7 +82,8 @@ class TestRegistry:
             summary = "test double"
 
             def shards(self, engine, context, run):
-                return engine._shard_results(context)
+                return engine._evaluate_ranges(
+                    context, [(0, context.total_points)], run)
 
         register_strategy(Probe)
         try:
@@ -95,9 +96,21 @@ class TestRegistry:
 
             del module._STRATEGIES["probe-everything"]
 
-    def test_engine_rejects_unknown_strategy_eagerly(self):
-        with pytest.raises(ConfigurationError):
-            ExplorationEngine(strategy="nope")
+    def test_engine_rejects_unknown_strategy_eagerly(
+            self, tiny_layer, monkeypatch):
+        from repro.core import engine as engine_module
+
+        def no_context(*args, **kwargs):
+            raise AssertionError("context built before the strategy "
+                                 "was checked")
+
+        monkeypatch.setattr(engine_module, "_build_context", no_context)
+        with pytest.raises(ConfigurationError, match="unknown search"):
+            ExplorationEngine().explore_layer(tiny_layer, strategy="nope")
+        with pytest.raises(ConfigurationError, match="invalid options"):
+            ExplorationEngine().explore_layer(
+                tiny_layer, strategy="funnel",
+                strategy_options={"not_an_option": 1})
 
 
 class TestExhaustiveByteIdentity:
@@ -125,26 +138,10 @@ class TestExhaustiveByteIdentity:
         from repro.cnn.tiling import TABLE2_BUFFERS
         from repro.mapping.catalog import TABLE1_MAPPINGS
 
-        engine = ExplorationEngine(strategy="random", seed=11)
-        _search, run, _iter = engine._start(
+        run, _iter = ExplorationEngine()._start(
             [tiny_layer], None, ALL_SCHEMES, TABLE1_MAPPINGS,
-            TABLE2_BUFFERS, None, Scenario.of(), None, None, None)
+            TABLE2_BUFFERS, None, Scenario.of(), "random", 11, None)
         assert (run.strategy, run.seed) == ("random", 11)
-
-    def test_context_dataclass_carries_provenance(self, tiny_layer):
-        import pickle
-
-        from repro.cnn.scheduling import ALL_SCHEMES
-        from repro.cnn.tiling import TABLE2_BUFFERS
-        from repro.dram.characterize import CharacterizationCache
-        from repro.mapping.catalog import TABLE1_MAPPINGS
-
-        context = _build_context(
-            [tiny_layer], (DDR3,), ALL_SCHEMES, TABLE1_MAPPINGS,
-            TABLE2_BUFFERS, None, CharacterizationCache(), Scenario.of(),
-            strategy="funnel", seed=5)
-        clone = pickle.loads(pickle.dumps(context))
-        assert (clone.strategy, clone.seed) == ("funnel", 5)
 
     def test_encode_inverts_decode(self, tiny_layer):
         from repro.cnn.scheduling import ALL_SCHEMES
@@ -260,8 +257,8 @@ class TestFunnel:
         assert parallel.points == serial.points
 
     def test_reduced_mode_works_with_funnel(self, tiny_layer, tiny_full):
-        engine = ExplorationEngine(strategy="funnel")
-        reduced = engine.explore_reduced([tiny_layer])
+        engine = ExplorationEngine()
+        reduced = engine.explore_reduced([tiny_layer], strategy="funnel")
         assert reduced.best() == tiny_full.best()
 
     def test_min_exact_floor_covers_every_slice(self, tiny_layer,

@@ -125,6 +125,19 @@ class TestDse:
         assert code == 0
         assert "ddr4-2400" in out
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--jobs", "-1", "jobs must be >= 0"),
+        ("--chunk-size", "0", "chunk_size must be >= 1"),
+    ])
+    def test_bad_engine_argument_exits_2(self, capsys, flag, value,
+                                         message):
+        code = main(["dse", "--model", "lenet5", "--layer", "C1",
+                     flag, value])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
 
 class TestTraffic:
     def test_traffic_table(self, capsys):
